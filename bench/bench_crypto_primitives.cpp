@@ -23,20 +23,24 @@ std::vector<std::uint8_t> pattern_bytes(std::size_t n) {
   return out;
 }
 
-RsaKeyPair& keys512() {
-  static RsaKeyPair kp = [] {
+// One key pair per size, generated on first use (seeded, so every run
+// signs with the same keys).
+RsaKeyPair& keys(std::int64_t bits) {
+  static RsaKeyPair k512 = [] {
     Drbg rng(std::vector<std::uint8_t>{1});
     return rsa_generate(512, rng);
   }();
-  return kp;
-}
-
-RsaKeyPair& keys1024() {
-  static RsaKeyPair kp = [] {
+  if (bits == 512) return k512;
+  static RsaKeyPair k1024 = [] {
     Drbg rng(std::vector<std::uint8_t>{2});
     return rsa_generate(1024, rng);
   }();
-  return kp;
+  if (bits == 1024) return k1024;
+  static RsaKeyPair k2048 = [] {
+    Drbg rng(std::vector<std::uint8_t>{5});
+    return rsa_generate(2048, rng);
+  }();
+  return k2048;
 }
 
 }  // namespace
@@ -103,16 +107,16 @@ static void BM_TlsRecordWork(benchmark::State& state) {
 BENCHMARK(BM_TlsRecordWork);
 
 static void BM_RsaSign(benchmark::State& state) {
-  RsaKeyPair& kp = state.range(0) == 512 ? keys512() : keys1024();
+  RsaKeyPair& kp = keys(state.range(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(rsa_sign(kp.priv, "handshake transcript"));
   }
   state.SetLabel(std::to_string(state.range(0)) + "-bit");
 }
-BENCHMARK(BM_RsaSign)->Arg(512)->Arg(1024);
+BENCHMARK(BM_RsaSign)->Arg(512)->Arg(1024)->Arg(2048);
 
 static void BM_RsaVerify(benchmark::State& state) {
-  RsaKeyPair& kp = state.range(0) == 512 ? keys512() : keys1024();
+  RsaKeyPair& kp = keys(state.range(0));
   auto sig = rsa_sign(kp.priv, "handshake transcript");
   for (auto _ : state) {
     benchmark::DoNotOptimize(rsa_verify(kp.pub, "handshake transcript", sig));
@@ -122,15 +126,16 @@ static void BM_RsaVerify(benchmark::State& state) {
 BENCHMARK(BM_RsaVerify)->Arg(512)->Arg(1024);
 
 static void BM_RsaDecrypt(benchmark::State& state) {
-  RsaKeyPair& kp = keys512();
+  RsaKeyPair& kp = keys(state.range(0));
   Drbg rng(std::vector<std::uint8_t>{3});
   std::vector<std::uint8_t> pre_master = rng.bytes(48);
   auto ct = rsa_encrypt(kp.pub, pre_master, rng);
   for (auto _ : state) {
     benchmark::DoNotOptimize(rsa_decrypt(kp.priv, ct));
   }
+  state.SetLabel(std::to_string(state.range(0)) + "-bit");
 }
-BENCHMARK(BM_RsaDecrypt);
+BENCHMARK(BM_RsaDecrypt)->Arg(512)->Arg(1024);
 
 static void BM_DrbgBytes(benchmark::State& state) {
   Drbg rng(std::vector<std::uint8_t>{4});

@@ -1,13 +1,19 @@
 #include "core/file_service.hpp"
 
+#include <fcntl.h>
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 
 #include "crypto/md5.hpp"
+#include "net/socket.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
 #include "util/strings.hpp"
@@ -16,7 +22,61 @@ namespace fs = std::filesystem;
 
 namespace clarens::core {
 
+namespace {
+
+// Overwrites go through hidden siblings with this prefix.
+constexpr std::string_view kWriteTempPrefix = ".clarens-tmp.";
+
+// The hidden sibling of `real` with the given suffix.
+std::string hidden_sibling(const std::string& real, std::string_view suffix) {
+  fs::path target(real);
+  return (target.parent_path() /
+          (std::string(kWriteTempPrefix) + std::string(suffix)))
+      .string();
+}
+
+// A sibling name no other writer (thread or process) uses.
+std::string unique_sibling(const std::string& real) {
+  static std::atomic<std::uint64_t> counter{0};
+  return hidden_sibling(real, std::to_string(::getpid()) + "." +
+                                  std::to_string(counter.fetch_add(1)));
+}
+
+// Open `temp` empty for writing: the directory's spare inode moved to that
+// name when there is one that no descriptor has open, else a new file.
+// The kernel grants a write lease only while no other descriptor has the
+// file open; the check runs a whole overwrite after the spare left the
+// namespace, so no open of its old name can still be in flight.
+net::Fd open_write_temp(const std::string& spare, const std::string& temp) {
+  if (::rename(spare.c_str(), temp.c_str()) == 0) {
+    net::Fd fd(::open(temp.c_str(), O_WRONLY | O_CLOEXEC));
+    if (fd.valid() && ::fcntl(fd.get(), F_SETLEASE, F_WRLCK) == 0) {
+      ::fcntl(fd.get(), F_SETLEASE, F_UNLCK);
+      if (::ftruncate(fd.get(), 0) == 0) return fd;
+    }
+    ::unlink(temp.c_str());
+  }
+  return net::Fd(
+      ::open(temp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0666));
+}
+
+bool write_fully(int fd, std::span<const std::uint8_t> data) {
+  while (!data.empty()) {
+    ssize_t n = ::write(fd, data.data(), data.size());
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    data = data.subspan(static_cast<std::size_t>(n));
+  }
+  return true;
+}
+
+}  // namespace
+
 FileService::FileService(AclManager& acl) : acl_(acl) {}
+
+bool FileService::is_write_scratch(std::string_view name) {
+  return util::starts_with(name, kWriteTempPrefix);
+}
 
 void FileService::add_root(const std::string& virtual_prefix,
                            const std::string& directory) {
@@ -54,6 +114,11 @@ std::string FileService::resolve(const std::string& path) const {
   std::string rest = path.substr(best_prefix->size() == 1 && (*best_prefix)[0] == '/'
                                      ? 0
                                      : best_prefix->size());
+  for (const fs::path& part : fs::path(rest)) {
+    if (is_write_scratch(part.native())) {
+      throw AccessError("reserved file name in '" + path + "'");
+    }
+  }
   // Normalize and enforce containment: the resolved path must stay under
   // the root directory even in the presence of ".." components.
   fs::path real = fs::path(*best_dir) / fs::path(rest).relative_path();
@@ -141,6 +206,7 @@ std::vector<FileStat> FileService::ls(const std::string& path,
   for (const auto& entry : fs::directory_iterator(real, ec)) {
     FileStat st;
     st.name = entry.path().filename().string();
+    if (is_write_scratch(st.name)) continue;
     st.is_directory = entry.is_directory(ec);
     if (!st.is_directory) {
       st.size = static_cast<std::int64_t>(entry.file_size(ec));
@@ -200,6 +266,7 @@ std::vector<std::string> FileService::find(const std::string& path,
        it != fs::recursive_directory_iterator(); it.increment(ec)) {
     if (ec) break;
     std::string name = it->path().filename().string();
+    if (is_write_scratch(name)) continue;
     if (pattern == "*" || name.find(pattern) != std::string::npos) {
       // Report the virtual path: prefix + relative part.
       fs::path rel = it->path().lexically_relative(base);
@@ -228,10 +295,41 @@ void FileService::write(const std::string& path,
   if (CLARENS_FAULT("file.write.eio", real)) {
     throw SystemError("injected I/O error writing '" + path + "'");
   }
-  std::ofstream out(real, std::ios::binary | std::ios::trunc);
-  if (!out) throw SystemError("cannot write file: '" + path + "'");
-  out.write(reinterpret_cast<const char*>(data.data()),
-            static_cast<std::streamsize>(data.size()));
+  // Readers see the old file or the new one whole, never a truncated one:
+  // the bytes go to a hidden temporary file that is renamed over the
+  // target. Creating and freeing an inode per overwrite costs several
+  // times an in-place rewrite on ext4 with concurrent writers, so the
+  // replaced file is kept as the directory's spare inode (linked under a
+  // hidden name before the rename) and the next overwrite reuses it.
+  std::string spare = hidden_sibling(real, "spare");
+  std::string temp = unique_sibling(real);
+  {
+    net::Fd fd = open_write_temp(spare, temp);
+    if (!fd.valid()) throw SystemError("cannot write file: '" + path + "'");
+    bool ok = write_fully(fd.get(), data);
+    int error = errno;
+    if (::close(fd.release()) != 0 && ok) {
+      ok = false;
+      error = errno;
+    }
+    if (!ok) {
+      ::unlink(temp.c_str());
+      throw SystemError("write failed: '" + path + "': " + std::strerror(error));
+    }
+  }
+  std::string replaced = unique_sibling(real);
+  bool kept = ::link(real.c_str(), replaced.c_str()) == 0;
+  if (::rename(temp.c_str(), real.c_str()) != 0) {
+    int error = errno;
+    ::unlink(temp.c_str());
+    if (kept) ::unlink(replaced.c_str());
+    throw SystemError("cannot write file: '" + path + "': " +
+                      std::strerror(error));
+  }
+  if (kept && ::renameat2(AT_FDCWD, replaced.c_str(), AT_FDCWD, spare.c_str(),
+                          RENAME_NOREPLACE) != 0) {
+    ::unlink(replaced.c_str());
+  }
 }
 
 void FileService::append(const std::string& path,

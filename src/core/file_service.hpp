@@ -12,6 +12,7 @@
 #include <span>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/acl.hpp"
@@ -72,6 +73,11 @@ class FileService {
   }
   std::int64_t sendfile_threshold() const { return sendfile_threshold_; }
 
+  /// True for the hidden files overwrites work through (temporaries and
+  /// each directory's spare inode). Listings skip them, and no file
+  /// operation accepts a path naming one.
+  static bool is_write_scratch(std::string_view name);
+
   /// Directory listing (file.ls).
   std::vector<FileStat> ls(const std::string& path,
                            const pki::DistinguishedName& who) const;
@@ -103,7 +109,12 @@ class FileService {
                     const pki::DistinguishedName& who) const;
 
   /// Write (create/overwrite) a file — used by the shell sandbox upload
-  /// flow; requires write ACL.
+  /// flow; requires write ACL. The bytes go to a hidden temporary file in
+  /// the same directory, which is renamed over the target once written,
+  /// so concurrent readers see the old or the new file whole. The
+  /// replaced file stays behind as the directory's hidden spare, which
+  /// the next overwrite reuses once no reader has it open. Throws
+  /// SystemError when the data could not be written.
   void write(const std::string& path, std::span<const std::uint8_t> data,
              const pki::DistinguishedName& who) const;
 

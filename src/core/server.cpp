@@ -301,8 +301,7 @@ void ClarensServer::notify_commit(const rpc::CallContext& context,
     // tickets for exactly this one method. The ticket carries the
     // original writer's identity so the head's method ACL still judges
     // the user, not the node.
-    FileService::FileChecksum sum =
-        files_->checksum(path, pki::DistinguishedName::parse(context.identity));
+    pki::DistinguishedName who = pki::DistinguishedName::parse(context.identity);
     federation::NodeTicket ticket;
     ticket.dn = context.identity;
     ticket.via_proxy = context.via_proxy;
@@ -311,16 +310,28 @@ void ClarensServer::notify_commit(const rpc::CallContext& context,
     ticket.write = false;
     ticket.expires = util::unix_now() + 60;
     std::string token = ticket.mint(config_.node_ticket_secret);
-    client::PeerPool::Lease lease = head_pool_->lease(config_.head_url);
-    lease->set_header(kNodeTicketHeader, token);
-    try {
-      lease->call("replica.committed",
-                  {rpc::Value(path),
-                   rpc::Value(config_.farm + "/" + config_.node),
-                   rpc::Value(sum.md5), rpc::Value(sum.size)});
-    } catch (const SystemError&) {
-      lease.discard();
-      throw;
+    // Two writers of one file can report out of order: a hash taken
+    // before the other writer's bytes landed may reach the head last and
+    // leave it expecting content no replica has. So after each report the
+    // file is hashed again and a changed hash is reported too. Each extra
+    // round follows another write of the file, so the loop ends once
+    // writes stop, and the last report the head sees matches the file.
+    std::string reported;
+    for (;;) {
+      FileService::FileChecksum sum = files_->checksum(path, who);
+      if (sum.md5 == reported) break;
+      client::PeerPool::Lease lease = head_pool_->lease(config_.head_url);
+      lease->set_header(kNodeTicketHeader, token);
+      try {
+        lease->call("replica.committed",
+                    {rpc::Value(path),
+                     rpc::Value(config_.farm + "/" + config_.node),
+                     rpc::Value(sum.md5), rpc::Value(sum.size)});
+      } catch (const SystemError&) {
+        lease.discard();
+        throw;
+      }
+      reported = sum.md5;
     }
   } catch (const std::exception& error) {
     // Best effort: a lost notification leaves the layout checksum

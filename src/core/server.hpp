@@ -261,8 +261,9 @@ class ClarensServer {
   /// AuthError on a bad/expired token or when this server takes none.
   federation::NodeTicket check_node_ticket(const std::string& token) const;
   /// Storage role: after a ticket-authorized write/append lands, report
-  /// the resulting checksum to the head (replica.committed). Best
-  /// effort — the head's fsck scrub covers a lost notification.
+  /// the resulting checksum to the head (replica.committed), again each
+  /// time a re-hash after the report shows a concurrent write changed
+  /// it. Best effort — the head's fsck scrub covers a lost notification.
   void notify_commit(const rpc::CallContext& context, const std::string& path);
 
   ClarensConfig config_;

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "core/file_service.hpp"
 #include "core/vo.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
@@ -200,8 +201,9 @@ ShellResult ShellService::run_builtin(const std::string& system_user,
       if (fs::is_directory(full)) {
         std::vector<std::string> names;
         for (const auto& entry : fs::directory_iterator(full)) {
-          names.push_back(entry.path().filename().string() +
-                          (entry.is_directory() ? "/" : ""));
+          std::string name = entry.path().filename().string();
+          if (FileService::is_write_scratch(name)) continue;
+          names.push_back(name + (entry.is_directory() ? "/" : ""));
         }
         std::sort(names.begin(), names.end());
         for (const auto& name : names) result.out += name + "\n";
@@ -298,6 +300,9 @@ ShellResult ShellService::run_builtin(const std::string& system_user,
       found.push_back(target);
       if (fs::is_directory(full)) {
         for (const auto& entry : fs::recursive_directory_iterator(full)) {
+          if (FileService::is_write_scratch(entry.path().filename().string())) {
+            continue;
+          }
           found.push_back(
               (fs::path(target) / entry.path().lexically_relative(full)).string());
         }

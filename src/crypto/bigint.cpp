@@ -1,6 +1,7 @@
 #include "crypto/bigint.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "crypto/random.hpp"
 #include "util/error.hpp"
@@ -242,22 +243,79 @@ BigIntDivMod BigInt::divmod(const BigInt& divisor) const {
   if (divisor.is_zero()) throw Error("BigInt division by zero");
   if (*this < divisor) return {BigInt(), *this};
 
-  // Binary long division: O(bit_length) shift/compare/subtract passes.
-  // Not the hot path (modexp uses Montgomery), so simplicity wins.
-  std::size_t shift = bit_length() - divisor.bit_length();
-  BigInt remainder = *this;
+  const std::size_t n = divisor.limbs_.size();
+  const std::size_t m = limbs_.size() - n;  // the quotient has m + 1 limbs
   BigInt quotient;
-  quotient.limbs_.assign((shift + 32) / 32, 0);
-  BigInt shifted = divisor << shift;
-  for (std::size_t i = shift + 1; i-- > 0;) {
-    if (remainder >= shifted) {
-      remainder = remainder - shifted;
-      quotient.limbs_[i / 32] |= (std::uint32_t(1) << (i % 32));
+  quotient.limbs_.assign(m + 1, 0);
+
+  if (n == 1) {
+    // Short division: one 64-by-32-bit divide per dividend limb.
+    const std::uint64_t d = divisor.limbs_[0];
+    std::uint64_t rem = 0;
+    for (std::size_t i = limbs_.size(); i-- > 0;) {
+      std::uint64_t cur = (rem << 32) | limbs_[i];
+      quotient.limbs_[i] = static_cast<std::uint32_t>(cur / d);
+      rem = cur % d;
     }
-    shifted = shifted >> 1;
+    quotient.trim();
+    return {quotient, BigInt(rem)};
   }
+
+  // Knuth, TAOCP vol. 2, 4.3.1, algorithm D. Normalizing so the divisor's
+  // top limb has its high bit set makes the estimate from the top two
+  // remainder limbs at most 2 too large; the test against the third limb
+  // corrects that to at most 1, which the rare add-back step undoes.
+  const int shift = std::countl_zero(divisor.limbs_.back());
+  const std::vector<std::uint32_t> v = (divisor << shift).limbs_;  // n limbs
+  std::vector<std::uint32_t> u = (*this << shift).limbs_;
+  u.resize(limbs_.size() + 1, 0);  // m + n + 1 limbs
+  const std::uint64_t base = std::uint64_t(1) << 32;
+  const std::uint64_t v_top = v[n - 1];
+  const std::uint64_t v_next = v[n - 2];
+
+  for (std::size_t j = m + 1; j-- > 0;) {
+    const std::uint64_t num = (std::uint64_t(u[j + n]) << 32) | u[j + n - 1];
+    std::uint64_t qhat = num / v_top;
+    std::uint64_t rhat = num % v_top;
+    while (qhat >= base || qhat * v_next > ((rhat << 32) | u[j + n - 2])) {
+      --qhat;
+      rhat += v_top;
+      if (rhat >= base) break;
+    }
+
+    // u[j .. j+n] -= qhat * v
+    std::uint64_t carry = 0;
+    std::uint64_t borrow = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t p = qhat * v[i] + carry;
+      carry = p >> 32;
+      const std::uint64_t t = std::uint64_t(u[i + j]) - (p & 0xffffffffu) - borrow;
+      u[i + j] = static_cast<std::uint32_t>(t);
+      borrow = t >> 63;
+    }
+    const std::uint64_t top = std::uint64_t(u[j + n]) - carry - borrow;
+    u[j + n] = static_cast<std::uint32_t>(top);
+
+    if (top >> 63) {
+      // qhat was still one too large: add v back once.
+      --qhat;
+      std::uint64_t c = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::uint64_t s = std::uint64_t(u[i + j]) + v[i] + c;
+        u[i + j] = static_cast<std::uint32_t>(s);
+        c = s >> 32;
+      }
+      u[j + n] += static_cast<std::uint32_t>(c);
+    }
+    quotient.limbs_[j] = static_cast<std::uint32_t>(qhat);
+  }
+
+  // The remainder is u[0 .. n), still scaled by 2^shift.
+  BigInt remainder;
+  remainder.limbs_.assign(u.begin(), u.begin() + static_cast<long>(n));
+  remainder.trim();
   quotient.trim();
-  return {quotient, remainder};
+  return {quotient, remainder >> static_cast<std::size_t>(shift)};
 }
 
 BigInt BigInt::operator/(const BigInt& o) const { return divmod(o).quotient; }
@@ -265,10 +323,18 @@ BigInt BigInt::operator%(const BigInt& o) const { return divmod(o).remainder; }
 
 namespace {
 
-// Montgomery context for an odd modulus n with R = 2^(32*k).
+// Exponents up to this many bits (public exponents such as 65537) take
+// plain square-and-multiply; longer ones take fixed 4-bit windows.
+constexpr std::size_t kPlainExponentBits = 64;
+constexpr std::size_t kWindowBits = 4;
+
+// Montgomery arithmetic modulo an odd n with R = 2^(32*k), k = limbs of n.
+// Built once per modexp. mul() works in scratch buffers the context owns,
+// so an exponentiation allocates nothing per multiply.
 class Montgomery {
  public:
-  explicit Montgomery(const std::vector<std::uint32_t>& n) : n_(n) {
+  Montgomery(std::vector<std::uint32_t> n, std::vector<std::uint32_t> r2)
+      : n_(std::move(n)), r2_(std::move(r2)), t_(n_.size() + 2), d_(n_.size()) {
     // n0inv = -n^{-1} mod 2^32 via Newton iteration.
     std::uint32_t n0 = n_[0];
     std::uint32_t inv = n0;  // correct to 3 bits since n0 is odd
@@ -276,74 +342,61 @@ class Montgomery {
     n0inv_ = ~inv + 1;  // negate mod 2^32
   }
 
-  std::size_t size() const { return n_.size(); }
+  /// R^2 mod n, k limbs: mul(x, r2()) moves x into Montgomery form.
+  const std::uint32_t* r2() const { return r2_.data(); }
 
-  // out = a * b * R^{-1} mod n (CIOS). a, b, out are k-limb vectors.
-  void mul(const std::vector<std::uint32_t>& a,
-           const std::vector<std::uint32_t>& b,
-           std::vector<std::uint32_t>& out) const {
+  // out = a * b * R^{-1} mod n (CIOS). a, b and out are k limbs, a and
+  // b < n; out may alias a or b.
+  void mul(const std::uint32_t* a, const std::uint32_t* b, std::uint32_t* out) {
     const std::size_t k = n_.size();
-    std::vector<std::uint64_t> t(k + 2, 0);
+    std::uint32_t* t = t_.data();
+    std::fill(t_.begin(), t_.end(), 0);
     for (std::size_t i = 0; i < k; ++i) {
-      // t += a[i] * b
-      std::uint64_t carry = 0;
-      std::uint64_t ai = a[i];
+      // t += a * b[i]
+      const std::uint64_t bi = b[i];
+      std::uint64_t c = 0;
       for (std::size_t j = 0; j < k; ++j) {
-        std::uint64_t cur = t[j] + ai * b[j] + carry;
-        t[j] = cur & 0xffffffffu;
-        carry = cur >> 32;
+        const std::uint64_t s = t[j] + a[j] * bi + c;
+        t[j] = static_cast<std::uint32_t>(s);
+        c = s >> 32;
       }
-      std::uint64_t cur = t[k] + carry;
-      t[k] = cur & 0xffffffffu;
-      t[k + 1] += cur >> 32;
+      std::uint64_t s = t[k] + c;
+      t[k] = static_cast<std::uint32_t>(s);
+      t[k + 1] = static_cast<std::uint32_t>(s >> 32);
 
-      // m = t[0] * n0inv mod 2^32 ; t += m * n ; t >>= 32
-      std::uint32_t m = static_cast<std::uint32_t>(t[0]) * n0inv_;
-      carry = 0;
-      std::uint64_t m64 = m;
-      for (std::size_t j = 0; j < k; ++j) {
-        std::uint64_t cur2 = t[j] + m64 * n_[j] + carry;
-        t[j] = cur2 & 0xffffffffu;
-        carry = cur2 >> 32;
+      // t = (t + m * n) / 2^32, with m chosen so the low limb cancels.
+      const std::uint64_t m = static_cast<std::uint32_t>(t[0] * n0inv_);
+      c = (t[0] + m * n_[0]) >> 32;
+      for (std::size_t j = 1; j < k; ++j) {
+        s = t[j] + m * n_[j] + c;
+        t[j - 1] = static_cast<std::uint32_t>(s);
+        c = s >> 32;
       }
-      cur = t[k] + carry;
-      t[k] = cur & 0xffffffffu;
-      t[k + 1] += cur >> 32;
-      // shift down one limb
-      for (std::size_t j = 0; j < k + 1; ++j) t[j] = t[j + 1];
-      t[k + 1] = 0;
+      s = t[k] + c;
+      t[k - 1] = static_cast<std::uint32_t>(s);
+      t[k] = t[k + 1] + static_cast<std::uint32_t>(s >> 32);
     }
 
-    out.assign(k, 0);
-    for (std::size_t j = 0; j < k; ++j) out[j] = static_cast<std::uint32_t>(t[j]);
-    // Conditional subtract if out >= n (t[k] holds a possible overflow bit).
-    bool ge = t[k] != 0;
-    if (!ge) {
-      ge = true;
-      for (std::size_t j = k; j-- > 0;) {
-        if (out[j] != n_[j]) {
-          ge = out[j] > n_[j];
-          break;
-        }
-      }
+    // t < 2n. Compute t - n and keep it when it did not underflow, by mask
+    // rather than by branch.
+    std::uint64_t borrow = 0;
+    for (std::size_t j = 0; j < k; ++j) {
+      const std::uint64_t diff = std::uint64_t(t[j]) - n_[j] - borrow;
+      d_[j] = static_cast<std::uint32_t>(diff);
+      borrow = diff >> 63;
     }
-    if (ge) {
-      std::int64_t borrow = 0;
-      for (std::size_t j = 0; j < k; ++j) {
-        std::int64_t diff = static_cast<std::int64_t>(out[j]) - n_[j] - borrow;
-        if (diff < 0) {
-          diff += (std::int64_t(1) << 32);
-          borrow = 1;
-        } else {
-          borrow = 0;
-        }
-        out[j] = static_cast<std::uint32_t>(diff);
-      }
+    const std::uint32_t keep_diff = t[k] | static_cast<std::uint32_t>(borrow ^ 1);
+    const std::uint32_t mask = 0u - (keep_diff & 1);
+    for (std::size_t j = 0; j < k; ++j) {
+      out[j] = (d_[j] & mask) | (t[j] & ~mask);
     }
   }
 
  private:
   std::vector<std::uint32_t> n_;
+  std::vector<std::uint32_t> r2_;
+  std::vector<std::uint32_t> t_;  // k + 2 limbs of product accumulator
+  std::vector<std::uint32_t> d_;  // k limbs of t - n
   std::uint32_t n0inv_;
 };
 
@@ -357,41 +410,54 @@ BigInt BigInt::modexp(const BigInt& exponent, const BigInt& modulus) const {
   if (exponent.is_zero()) return BigInt(1);
 
   if (modulus.is_odd()) {
-    // Montgomery ladder (left-to-right square-and-multiply).
     const std::size_t k = modulus.limbs_.size();
-    std::vector<std::uint32_t> n = modulus.limbs_;
-    Montgomery mont(n);
-
-    auto to_limbs = [k](const BigInt& x) {
+    auto padded = [k](const BigInt& x) {
       std::vector<std::uint32_t> v = x.limbs_;
       v.resize(k, 0);
       return v;
     };
+    // R^2 mod n is one word-level division of 2^(64k).
+    Montgomery mont(modulus.limbs_, padded(shift_limbs(BigInt(1), 2 * k) % modulus));
 
-    // R mod n and R^2 mod n via shifting.
-    BigInt r = BigInt(1) << (32 * k);
-    BigInt r_mod = r % modulus;
-    BigInt r2_mod = (r_mod * r_mod) % modulus;
-
-    std::vector<std::uint32_t> base_m;
-    mont.mul(to_limbs(base), to_limbs(r2_mod), base_m);  // base * R mod n
-    std::vector<std::uint32_t> acc = to_limbs(r_mod);    // 1 * R mod n
-
-    std::vector<std::uint32_t> tmp;
-    for (std::size_t i = exponent.bit_length(); i-- > 0;) {
-      mont.mul(acc, acc, tmp);
-      acc.swap(tmp);
-      if (exponent.bit(i)) {
-        mont.mul(acc, base_m, tmp);
-        acc.swap(tmp);
-      }
-    }
-    // Convert out of Montgomery form: acc * 1 * R^{-1}.
     std::vector<std::uint32_t> one(k, 0);
     one[0] = 1;
-    mont.mul(acc, one, tmp);
+    std::vector<std::uint32_t> acc(k);
+    mont.mul(mont.r2(), one.data(), acc.data());  // R mod n: Montgomery one
+    std::vector<std::uint32_t> base_m = padded(base);
+    mont.mul(base_m.data(), mont.r2(), base_m.data());  // base * R mod n
+
+    const std::size_t bits = exponent.bit_length();
+    if (bits <= kPlainExponentBits) {
+      for (std::size_t i = bits; i-- > 0;) {
+        mont.mul(acc.data(), acc.data(), acc.data());
+        if (exponent.bit(i)) mont.mul(acc.data(), base_m.data(), acc.data());
+      }
+    } else {
+      // table[w] = base^w in Montgomery form, table[0] = one. Every window
+      // squares kWindowBits times and multiplies once, so the sequence of
+      // operations depends on the exponent's length, not on its bits.
+      constexpr std::size_t kTableSize = std::size_t(1) << kWindowBits;
+      std::vector<std::uint32_t> table(kTableSize * k);
+      std::copy(acc.begin(), acc.end(), table.begin());
+      std::copy(base_m.begin(), base_m.end(), table.begin() + static_cast<long>(k));
+      for (std::size_t w = 2; w < kTableSize; ++w) {
+        mont.mul(&table[(w - 1) * k], base_m.data(), &table[w * k]);
+      }
+      constexpr std::size_t kWindowsPerLimb = 32 / kWindowBits;
+      for (std::size_t w = (bits + kWindowBits - 1) / kWindowBits; w-- > 0;) {
+        for (std::size_t s = 0; s < kWindowBits; ++s) {
+          mont.mul(acc.data(), acc.data(), acc.data());
+        }
+        const std::uint32_t digit =
+            (exponent.limbs_[w / kWindowsPerLimb] >>
+             (kWindowBits * (w % kWindowsPerLimb))) & (kTableSize - 1);
+        mont.mul(acc.data(), &table[digit * k], acc.data());
+      }
+    }
+    // Out of Montgomery form: acc * 1 * R^{-1}.
+    mont.mul(acc.data(), one.data(), acc.data());
     BigInt out;
-    out.limbs_ = tmp;
+    out.limbs_ = std::move(acc);
     out.trim();
     return out;
   }

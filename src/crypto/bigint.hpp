@@ -1,9 +1,12 @@
 // Arbitrary-precision unsigned integers, sized for RSA (512-2048 bit).
 //
 // Representation: little-endian vector of 32-bit limbs with no trailing
-// zero limbs (zero is an empty vector). Multiplication is schoolbook;
-// modular exponentiation uses Montgomery multiplication (CIOS) for odd
-// moduli, which covers every RSA and Miller-Rabin use.
+// zero limbs (zero is an empty vector). Multiplication is schoolbook and
+// division is Knuth's algorithm D on 32-bit limbs. Modular exponentiation
+// uses Montgomery multiplication (CIOS) for odd moduli, which covers every
+// RSA and Miller-Rabin use: one context per modexp with R^2 mod n from a
+// single division and no allocation per multiply, and fixed 4-bit windows
+// for exponents longer than 64 bits.
 #pragma once
 
 #include <cstdint>
@@ -64,7 +67,9 @@ class BigInt {
   BigInt operator%(const BigInt& o) const;
 
   /// (this ^ exponent) mod modulus. Montgomery path for odd moduli,
-  /// generic square-and-multiply otherwise. modulus must be > 1.
+  /// generic square-and-multiply otherwise. modulus must be > 1. For
+  /// exponents longer than 64 bits the sequence of Montgomery squarings
+  /// and multiplies depends only on the exponent's bit length.
   BigInt modexp(const BigInt& exponent, const BigInt& modulus) const;
 
   /// Modular inverse via extended Euclid; throws if gcd(this, m) != 1.

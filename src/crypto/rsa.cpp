@@ -43,6 +43,29 @@ std::span<const std::uint8_t> as_bytes(std::string_view s) {
   return {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()};
 }
 
+bool has_crt(const RsaPrivateKey& key) {
+  return !key.dp.is_zero() && !key.dq.is_zero() && !key.qinv.is_zero() &&
+         key.p > BigInt(1) && key.q > BigInt(1);
+}
+
+// x^d mod n for x < n. With the CRT fields this is two half-size
+// exponentiations recombined by Garner's formula. A CRT result is released
+// only after y^e mod n == x: a fault in either half (or a corrupted CRT
+// field) would otherwise hand out a value whose gcd with n factors the key.
+// On a mismatch the plain exponentiation answers instead.
+BigInt private_op(const RsaPrivateKey& key, const BigInt& x) {
+  if (has_crt(key)) {
+    BigInt m1 = x.modexp(key.dp, key.p);
+    BigInt m2 = x.modexp(key.dq, key.q);
+    // h = qinv * (m1 - m2) mod p; y = m2 + h * q.
+    BigInt diff = (m1 + key.p - m2 % key.p) % key.p;
+    BigInt h = (key.qinv * diff) % key.p;
+    BigInt y = m2 + h * key.q;
+    if (y < key.n && y.modexp(key.e, key.n) == x) return y;
+  }
+  return x.modexp(key.d, key.n);
+}
+
 }  // namespace
 
 std::string RsaPublicKey::encode() const {
@@ -60,12 +83,26 @@ std::string RsaPrivateKey::encode() const {
          ":" + q.to_hex();
 }
 
+void RsaPrivateKey::derive_crt() {
+  dp = dq = qinv = BigInt();
+  if (p <= BigInt(1) || q <= BigInt(1) || p * q != n) return;
+  try {
+    qinv = q.modinv(p);
+  } catch (const Error&) {
+    return;  // p and q share a factor: CRT cannot serve this key
+  }
+  dp = d % (p - BigInt(1));
+  dq = d % (q - BigInt(1));
+}
+
 RsaPrivateKey RsaPrivateKey::decode(std::string_view text) {
   auto parts = util::split(text, ':');
   if (parts.size() != 5) throw ParseError("invalid RSA private key encoding");
-  return {BigInt::from_hex(parts[0]), BigInt::from_hex(parts[1]),
-          BigInt::from_hex(parts[2]), BigInt::from_hex(parts[3]),
-          BigInt::from_hex(parts[4])};
+  RsaPrivateKey key{BigInt::from_hex(parts[0]), BigInt::from_hex(parts[1]),
+                    BigInt::from_hex(parts[2]), BigInt::from_hex(parts[3]),
+                    BigInt::from_hex(parts[4])};
+  key.derive_crt();
+  return key;
 }
 
 RsaKeyPair rsa_generate(std::size_t bits, Drbg& rng) {
@@ -81,6 +118,7 @@ RsaKeyPair rsa_generate(std::size_t bits, Drbg& rng) {
     if (BigInt::gcd(e, phi) != BigInt(1)) continue;
     BigInt d = e.modinv(phi);
     RsaPrivateKey priv{n, e, d, p, q};
+    priv.derive_crt();
     return {priv.public_key(), priv};
   }
 }
@@ -89,8 +127,7 @@ std::vector<std::uint8_t> rsa_sign(const RsaPrivateKey& key,
                                    std::span<const std::uint8_t> message) {
   std::size_t k = (key.n.bit_length() + 7) / 8;
   std::vector<std::uint8_t> em = emsa_encode(message, k);
-  BigInt m = BigInt::from_bytes(em);
-  BigInt s = m.modexp(key.d, key.n);
+  BigInt s = private_op(key, BigInt::from_bytes(em));
   return left_pad(s.to_bytes(), k);
 }
 
@@ -152,7 +189,7 @@ std::optional<std::vector<std::uint8_t>> rsa_decrypt(
   if (ciphertext.size() != k) return std::nullopt;
   BigInt c = BigInt::from_bytes(ciphertext);
   if (c >= key.n) return std::nullopt;
-  BigInt m = c.modexp(key.d, key.n);
+  BigInt m = private_op(key, c);
   std::vector<std::uint8_t> em = left_pad(m.to_bytes(), k);
   if (em.size() < 11 || em[0] != 0x00 || em[1] != 0x02) return std::nullopt;
   // Find the 00 separator after at least 8 padding bytes.

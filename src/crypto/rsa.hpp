@@ -3,10 +3,14 @@
 // behind certificates, proxy delegation and the TLS-like key exchange.
 //
 // Key sizes: 512-bit keys are the test/benchmark default (fast keygen with
-// a from-scratch bignum); 1024+ work identically, only slower. None of the
-// performance claims reproduced from the paper depend on absolute RSA
-// speed — the Globus-baseline comparison is about *how often* the
-// handshake runs, not how fast one handshake is.
+// a from-scratch bignum); 1024+ work identically, only slower.
+//
+// RSA speed matters: private operations dominate the CPU cost of a
+// mutual-TLS login and of every handshake, which the HeavyGrid baseline
+// runs on each call. Private keys carry the CRT exponents, so signing and
+// decryption run two half-size exponentiations; every CRT result is
+// checked with the public exponent before it is released, and a mismatch
+// falls back to the plain x^d mod n.
 #pragma once
 
 #include <cstdint>
@@ -40,9 +44,21 @@ struct RsaPrivateKey {
   BigInt d;  // private exponent
   BigInt p;
   BigInt q;
+  // CRT fields: d mod (p-1), d mod (q-1) and q^{-1} mod p. Zero when the
+  // key was built without them (RsaPrivateKey{n, e, d, p, q}); private
+  // operations then use x^d mod n.
+  BigInt dp{};
+  BigInt dq{};
+  BigInt qinv{};
 
   RsaPublicKey public_key() const { return {n, e}; }
 
+  /// Fill dp, dq and qinv from d, p and q. Leaves them zero when p and q
+  /// are not the factors of n.
+  void derive_crt();
+
+  /// Text serialization "hex(n):hex(e):hex(d):hex(p):hex(q)". The CRT
+  /// fields are not stored; decode derives them.
   std::string encode() const;
   static RsaPrivateKey decode(std::string_view text);
 };

@@ -5,6 +5,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <pthread.h>
 #include <sys/sendfile.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
@@ -12,6 +13,7 @@
 
 #include <array>
 #include <cerrno>
+#include <csignal>
 #include <cstring>
 
 #include "util/error.hpp"
@@ -34,6 +36,52 @@ sockaddr_in make_addr(const std::string& host, std::uint16_t port) {
     throw SystemError("invalid IPv4 address: " + host);
   }
   return addr;
+}
+
+// sendfile(2) and splice(2) take no MSG_NOSIGNAL flag. While one runs,
+// SIGPIPE is blocked on the calling thread; one raised because the peer
+// closed is taken off the thread's pending set before the mask is
+// restored, so the caller sees EPIPE instead of a fatal signal. A SIGPIPE
+// that was pending before is left alone.
+class SigpipeBlock {
+ public:
+  SigpipeBlock() {
+    sigemptyset(&pipe_);
+    sigaddset(&pipe_, SIGPIPE);
+    pthread_sigmask(SIG_BLOCK, &pipe_, &saved_);
+    was_pending_ = pending();
+  }
+  ~SigpipeBlock() {
+    int saved_errno = errno;
+    if (!was_pending_ && pending()) {
+      timespec zero{0, 0};
+      while (sigtimedwait(&pipe_, nullptr, &zero) < 0 && errno == EINTR) {
+      }
+    }
+    pthread_sigmask(SIG_SETMASK, &saved_, nullptr);
+    errno = saved_errno;
+  }
+  SigpipeBlock(const SigpipeBlock&) = delete;
+  SigpipeBlock& operator=(const SigpipeBlock&) = delete;
+
+ private:
+  static bool pending() {
+    sigset_t set;
+    sigemptyset(&set);
+    return sigpending(&set) == 0 && sigismember(&set, SIGPIPE) == 1;
+  }
+
+  sigset_t pipe_;
+  sigset_t saved_;
+  bool was_pending_ = false;
+};
+
+// writev(2) that never raises SIGPIPE.
+ssize_t sendmsg_nosignal(int fd, iovec* iov, std::size_t count) {
+  msghdr msg{};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = count;
+  return ::sendmsg(fd, &msg, MSG_NOSIGNAL);
 }
 
 std::uint16_t bound_port(int fd) {
@@ -139,7 +187,8 @@ std::size_t TcpConnection::read(std::span<std::uint8_t> out) {
 void TcpConnection::write_all(std::span<const std::uint8_t> data) {
   std::size_t sent = 0;
   while (sent < data.size()) {
-    ssize_t n = ::write(fd_.get(), data.data() + sent, data.size() - sent);
+    ssize_t n = ::send(fd_.get(), data.data() + sent, data.size() - sent,
+                       MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
@@ -179,7 +228,7 @@ void TcpConnection::write_vec(std::span<const std::string_view> chunks) {
   std::size_t sent = 0;
   std::size_t first = 0;
   while (sent < total) {
-    ssize_t n = ::writev(fd_.get(), iov + first, static_cast<int>(count - first));
+    ssize_t n = sendmsg_nosignal(fd_.get(), iov + first, count - first);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
@@ -237,7 +286,7 @@ std::optional<std::size_t> TcpConnection::read_some(std::span<std::uint8_t> out)
 
 std::size_t TcpConnection::write_some(std::span<const std::uint8_t> data) {
   for (;;) {
-    ssize_t n = ::write(fd_.get(), data.data(), data.size());
+    ssize_t n = ::send(fd_.get(), data.data(), data.size(), MSG_NOSIGNAL);
     if (n >= 0) return static_cast<std::size_t>(n);
     if (errno == EINTR) continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK) return 0;
@@ -257,7 +306,7 @@ std::size_t TcpConnection::writev_some(
   }
   if (count == 0) return 0;
   for (;;) {
-    ssize_t n = ::writev(fd_.get(), iov, static_cast<int>(count));
+    ssize_t n = sendmsg_nosignal(fd_.get(), iov, count);
     if (n >= 0) return static_cast<std::size_t>(n);
     if (errno == EINTR) continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK) return 0;
@@ -281,6 +330,7 @@ void TcpConnection::set_nodelay(bool on) {
 
 std::size_t TcpConnection::sendfile(int file_fd, std::int64_t offset,
                                     std::size_t count) {
+  SigpipeBlock no_sigpipe;
   off_t off = static_cast<off_t>(offset);
   std::size_t total = 0;
   while (total < count) {

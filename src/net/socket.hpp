@@ -113,7 +113,8 @@ class TcpConnection : public Stream {
   /// syscall the paper credits for low-CPU high-throughput file serving.
   /// Falls back to splice(2) through a pipe, then to a read/write loop,
   /// when the kernel refuses sendfile for this fd pair. Returns bytes
-  /// sent. Polls for writability on non-blocking sockets.
+  /// sent. Polls for writability on non-blocking sockets. Like every
+  /// write here, a peer that has closed yields SystemError, never SIGPIPE.
   std::size_t sendfile(int file_fd, std::int64_t offset, std::size_t count);
 
  private:

@@ -1,8 +1,14 @@
 // Unit tests for the file service: virtual roots, containment, every
-// file.* operation, and ACL gating.
+// file.* operation, ACL gating, and atomic overwrites.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <atomic>
+#include <csignal>
 #include <fstream>
+#include <set>
 
 #include "core/file_service.hpp"
 #include "core/vo.hpp"
@@ -10,6 +16,7 @@
 #include "db/store.hpp"
 #include "test_fixtures.hpp"
 #include "util/error.hpp"
+#include "util/sync.hpp"
 
 namespace clarens::core {
 namespace {
@@ -157,6 +164,113 @@ TEST_F(FileFixture, WriteMkdirRemove) {
   EXPECT_EQ(std::string(back.begin(), back.end()), "payload");
   files.remove("/data/out", alice());
   EXPECT_THROW(files.stat("/data/out", alice()), NotFoundError);
+}
+
+std::span<const std::uint8_t> span_of(const std::string& s) {
+  return {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()};
+}
+
+TEST_F(FileFixture, ConcurrentReadsSeeWholeOverwrites) {
+  // One thread overwrites the file with payloads of two sizes while
+  // another reads it: every read returns one payload whole, never a
+  // truncated or empty file, and listings never show the temporary.
+  const std::string small(3000, 's');
+  const std::string large(70000, 'L');
+  files.write("/data/race.bin", span_of(small), alice());
+  std::atomic<bool> done{false};
+  util::Thread writer([&] {
+    for (int i = 0; i < 400; ++i) {
+      files.write("/data/race.bin", span_of(i % 2 ? small : large), alice());
+    }
+    done = true;
+  });
+  int reads = 0, torn = 0, temp_listed = 0;
+  while (!done || reads < 50) {
+    auto bytes = files.read("/data/race.bin", 0, 1 << 20, alice());
+    std::string got(bytes.begin(), bytes.end());
+    if (got != small && got != large) ++torn;
+    for (const FileStat& st : files.ls("/data", alice())) {
+      if (st.name != "race.bin" && st.name != "hello.txt" && st.name != "sub") {
+        ++temp_listed;
+      }
+    }
+    ++reads;
+  }
+  writer.join();
+  EXPECT_EQ(torn, 0) << "of " << reads << " reads";
+  EXPECT_EQ(temp_listed, 0);
+  EXPECT_EQ(files.find("/data", "*", alice()).size(), 4u);
+  // On disk only the directory's one spare inode stays beside the files.
+  std::set<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    names.insert(entry.path().filename().string());
+  }
+  EXPECT_EQ(names, (std::set<std::string>{".clarens-tmp.spare", "hello.txt",
+                                          "race.bin", "sub"}));
+}
+
+TEST_F(FileFixture, OpenReaderKeepsTheFileAnOverwriteReplaced) {
+  // Overwrites reuse the inode the previous overwrite replaced, but only
+  // once nothing has it open: a slow reader of an old version keeps
+  // reading that version whole.
+  const std::string first(5000, '1'), second(7000, '2'), third(9000, '3');
+  files.write("/data/slow.bin", span_of(first), alice());
+  std::ifstream reader(dir + "/slow.bin", std::ios::binary);
+  ASSERT_TRUE(reader);
+  files.write("/data/slow.bin", span_of(second), alice());  // first -> spare
+  files.write("/data/slow.bin", span_of(third), alice());   // spare still open
+  std::string held((std::istreambuf_iterator<char>(reader)),
+                   std::istreambuf_iterator<char>());
+  EXPECT_EQ(held, first);
+  auto back = files.read("/data/slow.bin", 0, 1 << 20, alice());
+  EXPECT_EQ(std::string(back.begin(), back.end()), third);
+
+  // The spare holds an old version: no file operation reaches it.
+  EXPECT_THROW(files.read("/data/.clarens-tmp.spare", 0, 10, alice()),
+               AccessError);
+  EXPECT_THROW(files.write("/data/.clarens-tmp.spare", span_of("x"), alice()),
+               AccessError);
+  EXPECT_THROW(files.mkdir("/data/.clarens-tmp.x/y", alice()), AccessError);
+}
+
+TEST_F(FileFixture, FailedWriteThrowsAndKeepsTheOldFile) {
+  // A directory in the way: the rename fails, the caller hears of it and
+  // no temporary file stays behind.
+  std::filesystem::create_directories(dir + "/blocked");
+  EXPECT_THROW(files.write("/data/blocked", span_of("x"), alice()),
+               SystemError);
+  EXPECT_THROW(files.write("/data/missing/dir/f", span_of("x"), alice()),
+               SystemError);
+
+  // A full disk: the child caps its file size with RLIMIT_FSIZE (writes
+  // past it fail with EFBIG once SIGXFSZ is ignored). The write must
+  // throw and leave the old contents in place.
+  pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::signal(SIGXFSZ, SIG_IGN);
+    struct rlimit limit{4096, 4096};
+    if (::setrlimit(RLIMIT_FSIZE, &limit) != 0) _exit(10);
+    try {
+      files.write("/data/hello.txt", span_of(std::string(65536, 'z')), alice());
+      _exit(11);  // reported success for a write that did not happen
+    } catch (const SystemError&) {
+    } catch (...) {
+      _exit(12);
+    }
+    _exit(0);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  auto back = files.read("/data/hello.txt", 0, 100, alice());
+  EXPECT_EQ(std::string(back.begin(), back.end()), "hello world");
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    EXPECT_EQ(entry.path().filename().string().rfind(".clarens-tmp.", 0),
+              std::string::npos)
+        << entry.path();
+  }
 }
 
 TEST_F(FileFixture, PathEscapeRefused) {

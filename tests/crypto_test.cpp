@@ -12,6 +12,7 @@
 #include "crypto/sha256.hpp"
 #include "util/error.hpp"
 #include "util/hex.hpp"
+#include "util/strings.hpp"
 
 namespace clarens::crypto {
 namespace {
@@ -269,6 +270,17 @@ TEST(BigInt, ModExpKnownValues) {
   EXPECT_EQ(BigInt(99).modexp(BigInt(0), BigInt(7)).to_u64(), 1u);
 }
 
+// Square-and-multiply using divmod only.
+BigInt naive_modexp(const BigInt& base, const BigInt& exp, const BigInt& mod) {
+  BigInt result(1);
+  BigInt b = base % mod;
+  for (std::size_t i = exp.bit_length(); i-- > 0;) {
+    result = (result * result) % mod;
+    if (exp.bit(i)) result = (result * b) % mod;
+  }
+  return result;
+}
+
 TEST(BigInt, ModExpMatchesNaive) {
   Drbg rng(std::vector<std::uint8_t>{9});
   for (int trial = 0; trial < 20; ++trial) {
@@ -276,13 +288,86 @@ TEST(BigInt, ModExpMatchesNaive) {
     BigInt exp = BigInt::random_bits(16, rng);
     BigInt mod = BigInt::random_bits(96, rng);
     if (!mod.is_odd()) mod = mod + BigInt(1);  // exercise Montgomery
-    // Naive square-and-multiply using divmod only.
-    BigInt naive(1);
-    for (std::size_t i = exp.bit_length(); i-- > 0;) {
-      naive = (naive * naive) % mod;
-      if (exp.bit(i)) naive = (naive * base) % mod;
+    EXPECT_EQ(base.modexp(exp, mod), naive_modexp(base, exp, mod))
+        << "trial " << trial;
+  }
+}
+
+// The binary shift-and-subtract long division the kernel used before
+// algorithm D: slow but obviously right, so the reference for divmod.
+BigIntDivMod binary_divmod(const BigInt& a, const BigInt& b) {
+  if (a < b) return {BigInt(), a};
+  std::size_t shift = a.bit_length() - b.bit_length();
+  BigInt remainder = a;
+  BigInt quotient;
+  BigInt shifted = b << shift;
+  for (std::size_t i = shift + 1; i-- > 0;) {
+    if (remainder >= shifted) {
+      remainder = remainder - shifted;
+      quotient = quotient + (BigInt(1) << i);
     }
-    EXPECT_EQ(base.modexp(exp, mod), naive) << "trial " << trial;
+    shifted = shifted >> 1;
+  }
+  return {quotient, remainder};
+}
+
+// A value of `limbs` limbs that are all 0xffffffff.
+BigInt all_ones(std::size_t limbs) {
+  return (BigInt(1) << (32 * limbs)) - BigInt(1);
+}
+
+TEST(BigInt, DivModMatchesBinaryLongDivision) {
+  Drbg rng(std::vector<std::uint8_t>{29});
+  for (int trial = 0; trial < 1000; ++trial) {
+    BigInt b = trial % 5 == 0 ? all_ones(1 + rng.uniform(18))
+                              : BigInt::random_bits(1 + rng.uniform(600), rng);
+    BigInt a = BigInt::random_bits(1 + rng.uniform(1100), rng);
+    if (trial % 7 == 0) {
+      // A dividend at or just below a multiple of the divisor.
+      std::size_t room = 1100 - b.bit_length();
+      a = BigInt::random_bits(1 + rng.uniform(room), rng) * b - BigInt(trial % 2);
+      if (a.is_zero()) a = b;
+    }
+    BigIntDivMod got = a.divmod(b);
+    BigIntDivMod want = binary_divmod(a, b);
+    ASSERT_EQ(got.quotient, want.quotient)
+        << "trial " << trial << ": " << a.to_hex() << " / " << b.to_hex();
+    ASSERT_EQ(got.remainder, want.remainder)
+        << "trial " << trial << ": " << a.to_hex() << " % " << b.to_hex();
+  }
+}
+
+TEST(BigInt, DivModAddBackStep) {
+  // The estimate from the top limbs is one too large here, so algorithm D
+  // must take its add-back branch.
+  BigInt a = BigInt::from_hex("7fffffff800000000000000000000000");
+  BigInt b = BigInt::from_hex("800000000000000000000001");
+  BigIntDivMod got = a.divmod(b);
+  EXPECT_EQ(got.quotient.to_hex(), "fffffffe");
+  EXPECT_EQ(got.remainder.to_hex(), "7fffffffffffffff00000002");
+}
+
+TEST(BigInt, WindowedModExpMatchesNaive) {
+  Drbg rng(std::vector<std::uint8_t>{31});
+  for (std::size_t bits : {512u, 1024u}) {
+    for (int trial = 0; trial < 3; ++trial) {
+      BigInt mod = BigInt::random_bits(bits, rng);
+      if (!mod.is_odd()) mod = mod + BigInt(1);
+      BigInt base = BigInt::random_below(mod, rng);
+      BigInt exp = BigInt::random_bits(bits, rng);
+      EXPECT_EQ(base.modexp(exp, mod), naive_modexp(base, exp, mod))
+          << bits << "-bit trial " << trial;
+    }
+  }
+  // Exponents either side of the switch from square-and-multiply to
+  // windows, and ones whose top or low windows are zero.
+  BigInt mod = BigInt::random_bits(256, rng);
+  if (!mod.is_odd()) mod = mod + BigInt(1);
+  BigInt base = BigInt::random_below(mod, rng);
+  for (BigInt exp : {BigInt::random_bits(64, rng), BigInt::random_bits(65, rng),
+                     BigInt(1) << 200, (BigInt(1) << 130) + BigInt(0xf),
+                     all_ones(4)}) {
+    EXPECT_EQ(base.modexp(exp, mod), naive_modexp(base, exp, mod)) << exp.to_hex();
   }
 }
 
@@ -382,6 +467,95 @@ TEST_F(RsaFixture, KeyEncodingRoundTrip) {
   auto sig = rsa_sign(priv, "encoded key");
   EXPECT_TRUE(rsa_verify(pub, "encoded key", sig));
   EXPECT_THROW(RsaPublicKey::decode("onlyonefield"), ParseError);
+}
+
+// The same key with the CRT fields left out (zero).
+RsaPrivateKey without_crt(const RsaPrivateKey& key) {
+  return RsaPrivateKey{key.n, key.e, key.d, key.p, key.q};
+}
+
+TEST_F(RsaFixture, GeneratedKeyCarriesCrtFields) {
+  const RsaPrivateKey& key = keys().priv;
+  EXPECT_EQ(key.dp, key.d % (key.p - BigInt(1)));
+  EXPECT_EQ(key.dq, key.d % (key.q - BigInt(1)));
+  EXPECT_EQ((key.qinv * key.q) % key.p, BigInt(1));
+}
+
+TEST_F(RsaFixture, CrtSignatureEqualsPlainExponentiation) {
+  for (std::string_view message : {"a", "crt", "the quick brown fox"}) {
+    std::vector<std::uint8_t> sig = rsa_sign(keys().priv, message);
+    // PKCS#1 v1.5 signing is deterministic: the CRT path must produce
+    // exactly m^d mod n.
+    BigInt s = BigInt::from_bytes(sig);
+    BigInt m = s.modexp(keys().priv.e, keys().priv.n);
+    EXPECT_EQ(m.modexp(keys().priv.d, keys().priv.n), s) << message;
+    EXPECT_EQ(rsa_sign(without_crt(keys().priv), message), sig) << message;
+  }
+}
+
+TEST_F(RsaFixture, CorruptedCrtFieldFallsBackToPlainOp) {
+  RsaPrivateKey faulty = keys().priv;
+  faulty.dp = faulty.dp + BigInt(2);
+  std::vector<std::uint8_t> sig = rsa_sign(faulty, "fault");
+  EXPECT_TRUE(rsa_verify(keys().pub, "fault", sig));
+  EXPECT_EQ(sig, rsa_sign(keys().priv, "fault"));
+
+  Drbg rng(std::vector<std::uint8_t>{37});
+  std::vector<std::uint8_t> secret = {1, 2, 3, 4, 5};
+  RsaPrivateKey bad_qinv = keys().priv;
+  bad_qinv.qinv = bad_qinv.qinv + BigInt(1);
+  auto pt = rsa_decrypt(bad_qinv, rsa_encrypt(keys().pub, secret, rng));
+  ASSERT_TRUE(pt.has_value());
+  EXPECT_EQ(*pt, secret);
+}
+
+TEST_F(RsaFixture, KeyWithoutCrtFieldsSignsAndDecrypts) {
+  RsaPrivateKey plain = without_crt(keys().priv);
+  EXPECT_TRUE(plain.dp.is_zero());
+  std::vector<std::uint8_t> sig = rsa_sign(plain, "no crt");
+  EXPECT_TRUE(rsa_verify(keys().pub, "no crt", sig));
+
+  Drbg rng(std::vector<std::uint8_t>{39});
+  std::vector<std::uint8_t> secret = {9, 8, 7};
+  auto pt = rsa_decrypt(plain, rsa_encrypt(keys().pub, secret, rng));
+  ASSERT_TRUE(pt.has_value());
+  EXPECT_EQ(*pt, secret);
+}
+
+TEST_F(RsaFixture, DecodeDerivesCrtFields) {
+  RsaPrivateKey decoded = RsaPrivateKey::decode(keys().priv.encode());
+  EXPECT_EQ(decoded.dp, keys().priv.dp);
+  EXPECT_EQ(decoded.dq, keys().priv.dq);
+  EXPECT_EQ(decoded.qinv, keys().priv.qinv);
+  // The text form is still the five fields n:e:d:p:q.
+  EXPECT_EQ(util::split(keys().priv.encode(), ':').size(), 5u);
+  EXPECT_EQ(decoded.encode(), keys().priv.encode());
+}
+
+TEST(Rsa, KeyWithInconsistentFactorsSkipsCrt) {
+  Drbg rng(std::vector<std::uint8_t>{43});
+  RsaKeyPair kp = rsa_generate(512, rng);
+  RsaPrivateKey key = without_crt(kp.priv);
+  key.q = key.q + BigInt(2);  // no longer a factor of n
+  key.derive_crt();
+  EXPECT_TRUE(key.dp.is_zero());
+  EXPECT_TRUE(rsa_verify(kp.pub, "m", rsa_sign(key, "m")));
+}
+
+TEST(Rsa, SeedEncodedKeySignsByteIdentically) {
+  // A key and signature produced by the kernel before CRT and windowing.
+  RsaPrivateKey key = RsaPrivateKey::decode(
+      "c220f68d48266abc7df5e0e0cb0551ef02ebdf2e2c1ab0a102bda8ecb681c689"
+      "79b4ff55e15a6be9ebf600ff2ecf2c1b669c4ca4054929e5d8a2368fb8868c9d"
+      ":10001:"
+      "10616bac7c3c11a19a175744609d304eb4b6667ca4e813a36271d28136dd387d"
+      "5765c43da2d3a2b3d07d1088a273fd9939170e8e81fe9e325f8f91e327962ed9"
+      ":f57b5551bf6b301c1715f6f289ff67c74f1b32f7a9dad10d74554e2598fd3c97"
+      ":ca7257eb8c41bfdb62f42cf7dbdf0a8b84d5d52e0b627cb90432eab2163742eb");
+  EXPECT_FALSE(key.dp.is_zero());
+  EXPECT_EQ(util::hex_encode(rsa_sign(key, "seed-encoded key")),
+            "99bf4bf0745f31bfe31f4465c705970549581e7e6cd6dd894cd16cb80d0ec9aa"
+            "d2283ad46e9cad11ada78e1349ce361d6451ef937b069304f774af09b72f4a13");
 }
 
 TEST(Rsa, DifferentKeysDontVerify) {

@@ -21,6 +21,10 @@
 #             (plain release compiles the hook sites out)
 #   tidy      clang -Wthread-safety over the annotated lock layer
 #             (compile only; skipped when clang++ is not installed)
+#   perfbench python3 perfbench/smoke_test.py: every benchmark workload
+#             (fed_race included) in smoke mode — small inputs, one
+#             round, every output check on — untraced and traced. Builds
+#             into .bench_build/
 #
 # Usage: tools/check.sh [leg...]     (default: all legs)
 # Environment: JOBS=N parallelism (default: nproc).
@@ -123,12 +127,22 @@ leg_tidy() {
   fi
 }
 
+leg_perfbench() {
+  local log="$LOG_DIR/perfbench.log"
+  note "perfbench: benchmark smoke test (every workload, smoke mode)"
+  if python3 perfbench/smoke_test.py >"$log" 2>&1; then
+    record PASS perfbench
+  else
+    record FAIL perfbench "(log: $log)"
+  fi
+}
+
 LEGS=("$@")
-[ ${#LEGS[@]} -eq 0 ] && LEGS=(release lint asan ubsan tsan lockrank cluster tidy)
+[ ${#LEGS[@]} -eq 0 ] && LEGS=(release lint asan ubsan tsan lockrank cluster tidy perfbench)
 
 for leg in "${LEGS[@]}"; do
   case "$leg" in
-    release|lint|asan|ubsan|tsan|lockrank|cluster|tidy) "leg_$leg" ;;
+    release|lint|asan|ubsan|tsan|lockrank|cluster|tidy|perfbench) "leg_$leg" ;;
     *) record FAIL "$leg" "(unknown leg)" ;;
   esac
 done
