@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -42,15 +43,23 @@ std::string unique_sibling(const std::string& real) {
                                   std::to_string(counter.fetch_add(1)));
 }
 
-// Open `temp` empty for writing: the directory's spare inode moved to that
-// name when there is one that no descriptor has open, else a new file.
-// The kernel grants a write lease only while no other descriptor has the
-// file open; the check runs a whole overwrite after the spare left the
-// namespace, so no open of its old name can still be in flight.
-net::Fd open_write_temp(const std::string& spare, const std::string& temp) {
-  if (::rename(spare.c_str(), temp.c_str()) == 0) {
-    net::Fd fd(::open(temp.c_str(), O_WRONLY | O_CLOEXEC));
-    if (fd.valid() && ::fcntl(fd.get(), F_SETLEASE, F_WRLCK) == 0) {
+// Open `temp` empty for writing: with `reuse`, the directory's spare inode
+// moved to that name when it has no other name and no descriptor has it
+// open; else a new file. The kernel grants a write lease only while no
+// other descriptor has the file open. The spare left its file's name
+// before it was parked, so only an open that looked up that name before
+// the overwrite and is still in flight could slip past the check. Such
+// an open while the lease is held breaks it, which signals this process
+// with SIGIO by default, ending it; SIGURG, ignored by default, is asked
+// for instead.
+net::Fd open_write_temp(const std::string& spare, const std::string& temp,
+                        bool reuse) {
+  if (reuse && ::rename(spare.c_str(), temp.c_str()) == 0) {
+    net::Fd fd(::open(temp.c_str(), O_WRONLY | O_NOFOLLOW | O_CLOEXEC));
+    struct stat st{};
+    if (fd.valid() && ::fstat(fd.get(), &st) == 0 && S_ISREG(st.st_mode) &&
+        st.st_nlink == 1 && ::fcntl(fd.get(), F_SETSIG, SIGURG) == 0 &&
+        ::fcntl(fd.get(), F_SETLEASE, F_WRLCK) == 0) {
       ::fcntl(fd.get(), F_SETLEASE, F_UNLCK);
       if (::ftruncate(fd.get(), 0) == 0) return fd;
     }
@@ -58,6 +67,23 @@ net::Fd open_write_temp(const std::string& spare, const std::string& temp) {
   }
   return net::Fd(
       ::open(temp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0666));
+}
+
+// After an exchange, `temp` names the entry the overwrite replaced. Park
+// it as the directory's spare when it is a plain file with no other
+// name (a second hard link still shows the old contents, so that inode
+// must never be reused); otherwise, or when another writer parked one
+// first, drop it. Returns false, leaving `temp` alone, for a directory.
+bool park_replaced(const std::string& temp, const std::string& spare) {
+  struct stat st{};
+  bool found = ::lstat(temp.c_str(), &st) == 0;
+  if (found && S_ISDIR(st.st_mode)) return false;
+  if (!found || !S_ISREG(st.st_mode) || st.st_nlink != 1 ||
+      ::renameat2(AT_FDCWD, temp.c_str(), AT_FDCWD, spare.c_str(),
+                  RENAME_NOREPLACE) != 0) {
+    ::unlink(temp.c_str());
+  }
+  return true;
 }
 
 bool write_fully(int fd, std::span<const std::uint8_t> data) {
@@ -296,17 +322,26 @@ void FileService::write(const std::string& path,
     throw SystemError("injected I/O error writing '" + path + "'");
   }
   // Readers see the old file or the new one whole, never a truncated one:
-  // the bytes go to a hidden temporary file that is renamed over the
-  // target. Creating and freeing an inode per overwrite costs several
+  // the bytes go to a hidden temporary file that replaces the target in
+  // one rename. Creating and freeing an inode per overwrite costs several
   // times an in-place rewrite on ext4 with concurrent writers, so the
-  // replaced file is kept as the directory's spare inode (linked under a
-  // hidden name before the rename) and the next overwrite reuses it.
+  // rename exchanges the two names, leaving exactly the replaced inode
+  // under the temporary name, and that inode becomes the directory's
+  // spare for the next overwrite to reuse.
+  struct stat target{};
+  bool exists = ::stat(real.c_str(), &target) == 0;
+  if (exists && S_ISDIR(target.st_mode)) {
+    throw SystemError("cannot write file: '" + path + "': is a directory");
+  }
   std::string spare = hidden_sibling(real, "spare");
   std::string temp = unique_sibling(real);
   {
-    net::Fd fd = open_write_temp(spare, temp);
+    // A new file gets a new inode, so its mode comes from the umask; an
+    // overwrite keeps the target's mode, as writing in place did.
+    net::Fd fd = open_write_temp(spare, temp, /*reuse=*/exists);
     if (!fd.valid()) throw SystemError("cannot write file: '" + path + "'");
-    bool ok = write_fully(fd.get(), data);
+    bool ok = (!exists || ::fchmod(fd.get(), target.st_mode & 07777) == 0) &&
+              write_fully(fd.get(), data);
     int error = errno;
     if (::close(fd.release()) != 0 && ok) {
       ok = false;
@@ -317,18 +352,22 @@ void FileService::write(const std::string& path,
       throw SystemError("write failed: '" + path + "': " + std::strerror(error));
     }
   }
-  std::string replaced = unique_sibling(real);
-  bool kept = ::link(real.c_str(), replaced.c_str()) == 0;
+  if (::renameat2(AT_FDCWD, temp.c_str(), AT_FDCWD, real.c_str(),
+                  RENAME_EXCHANGE) == 0) {
+    if (park_replaced(temp, spare)) return;
+    // A directory took the target's name after the check above: put it
+    // back, as a plain rename onto it would have failed.
+    ::renameat2(AT_FDCWD, temp.c_str(), AT_FDCWD, real.c_str(),
+                RENAME_EXCHANGE);
+    ::unlink(temp.c_str());
+    throw SystemError("cannot write file: '" + path + "': is a directory");
+  }
+  // No target to exchange with (or no exchange on this filesystem).
   if (::rename(temp.c_str(), real.c_str()) != 0) {
     int error = errno;
     ::unlink(temp.c_str());
-    if (kept) ::unlink(replaced.c_str());
     throw SystemError("cannot write file: '" + path + "': " +
                       std::strerror(error));
-  }
-  if (kept && ::renameat2(AT_FDCWD, replaced.c_str(), AT_FDCWD, spare.c_str(),
-                          RENAME_NOREPLACE) != 0) {
-    ::unlink(replaced.c_str());
   }
 }
 
@@ -364,6 +403,8 @@ void FileService::remove(const std::string& path,
     if (ec) throw SystemError("remove failed: '" + path + "': " + ec.message());
     throw NotFoundError("no such file: '" + path + "'");
   }
+  // The directory's spare may hold an old version of what was removed.
+  ::unlink(hidden_sibling(real, "spare").c_str());
 }
 
 std::string FileService::resolve_for_read(const std::string& path,

@@ -111,10 +111,12 @@ class FileService {
   /// Write (create/overwrite) a file — used by the shell sandbox upload
   /// flow; requires write ACL. The bytes go to a hidden temporary file in
   /// the same directory, which is renamed over the target once written,
-  /// so concurrent readers see the old or the new file whole. The
-  /// replaced file stays behind as the directory's hidden spare, which
-  /// the next overwrite reuses once no reader has it open. Throws
-  /// SystemError when the data could not be written.
+  /// so concurrent readers see the old or the new file whole; an
+  /// overwrite keeps the target's mode. The replaced file stays behind,
+  /// contents intact, as the directory's hidden spare until the next
+  /// overwrite in that directory reuses it (once no reader has it open)
+  /// or a remove() in the directory deletes it. Throws SystemError when
+  /// the data could not be written.
   void write(const std::string& path, std::span<const std::uint8_t> data,
              const pki::DistinguishedName& who) const;
 

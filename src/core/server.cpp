@@ -310,29 +310,23 @@ void ClarensServer::notify_commit(const rpc::CallContext& context,
     ticket.write = false;
     ticket.expires = util::unix_now() + 60;
     std::string token = ticket.mint(config_.node_ticket_secret);
-    // Two writers of one file can report out of order: a hash taken
-    // before the other writer's bytes landed may reach the head last and
-    // leave it expecting content no replica has. So after each report the
-    // file is hashed again and a changed hash is reported too. Each extra
-    // round follows another write of the file, so the loop ends once
-    // writes stop, and the last report the head sees matches the file.
-    std::string reported;
-    for (;;) {
-      FileService::FileChecksum sum = files_->checksum(path, who);
-      if (sum.md5 == reported) break;
-      client::PeerPool::Lease lease = head_pool_->lease(config_.head_url);
-      lease->set_header(kNodeTicketHeader, token);
-      try {
-        lease->call("replica.committed",
-                    {rpc::Value(path),
-                     rpc::Value(config_.farm + "/" + config_.node),
-                     rpc::Value(sum.md5), rpc::Value(sum.size)});
-      } catch (const SystemError&) {
-        lease.discard();
-        throw;
-      }
-      reported = sum.md5;
-    }
+    // Reports of one path are ordered by commit_reports_: the last one
+    // the head receives matches the file even when two writers race.
+    commit_reports_.report(
+        path, [&] { return files_->checksum(path, who); },
+        [&](const FileService::FileChecksum& sum) {
+          client::PeerPool::Lease lease = head_pool_->lease(config_.head_url);
+          lease->set_header(kNodeTicketHeader, token);
+          try {
+            lease->call("replica.committed",
+                        {rpc::Value(path),
+                         rpc::Value(config_.farm + "/" + config_.node),
+                         rpc::Value(sum.md5), rpc::Value(sum.size)});
+          } catch (const SystemError&) {
+            lease.discard();
+            throw;
+          }
+        });
   } catch (const std::exception& error) {
     // Best effort: a lost notification leaves the layout checksum
     // unconfirmed, and the head's fsck scrub re-derives it from the

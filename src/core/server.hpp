@@ -18,6 +18,7 @@
 
 #include "client/peer_pool.hpp"
 #include "core/acl.hpp"
+#include "core/commit_reports.hpp"
 #include "core/file_service.hpp"
 #include "core/job_service.hpp"
 #include "core/message_service.hpp"
@@ -261,9 +262,9 @@ class ClarensServer {
   /// AuthError on a bad/expired token or when this server takes none.
   federation::NodeTicket check_node_ticket(const std::string& token) const;
   /// Storage role: after a ticket-authorized write/append lands, report
-  /// the resulting checksum to the head (replica.committed), again each
-  /// time a re-hash after the report shows a concurrent write changed
-  /// it. Best effort — the head's fsck scrub covers a lost notification.
+  /// the resulting checksum to the head (replica.committed), again when
+  /// another write of the path reported meanwhile (CommitReports). Best
+  /// effort — the head's fsck scrub covers a lost notification.
   void notify_commit(const rpc::CallContext& context, const std::string& path);
 
   ClarensConfig config_;
@@ -285,6 +286,8 @@ class ClarensServer {
   std::unique_ptr<federation::Replicator> replicator_;
   /// Storage role: keep-alive pool to the head for commit notifications.
   std::unique_ptr<client::PeerPool> head_pool_;
+  /// Storage role: orders the commit reports of concurrent writers.
+  CommitReports commit_reports_;
   discovery::DiscoveryServer* discovery_ = nullptr;
   storage::SrmService* srm_ = nullptr;
 

@@ -139,11 +139,16 @@ std::vector<std::string> ShellService::supported_commands() {
 namespace {
 
 /// Resolve `arg` against the sandbox (cwd-relative or sandbox-absolute)
-/// and refuse escapes.
+/// and refuse escapes and the file service's hidden overwrite files.
 fs::path resolve_in_sandbox(const fs::path& sandbox, const std::string& cwd,
                             const std::string& arg) {
   fs::path p = arg.empty() || arg[0] != '/' ? fs::path(cwd) / arg
                                             : fs::path(arg).relative_path();
+  for (const fs::path& part : p) {
+    if (FileService::is_write_scratch(part.native())) {
+      throw AccessError("reserved file name in '" + arg + "'");
+    }
+  }
   fs::path full = (sandbox / p).lexically_normal();
   auto rel = full.lexically_relative(sandbox.lexically_normal());
   if (!rel.empty() && *rel.begin() == "..") {

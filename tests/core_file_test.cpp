@@ -2,13 +2,16 @@
 // file.* operation, ACL gating, and atomic overwrites.
 #include <gtest/gtest.h>
 #include <sys/resource.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <fstream>
 #include <set>
+#include <vector>
 
 #include "core/file_service.hpp"
 #include "core/vo.hpp"
@@ -207,6 +210,113 @@ TEST_F(FileFixture, ConcurrentReadsSeeWholeOverwrites) {
   }
   EXPECT_EQ(names, (std::set<std::string>{".clarens-tmp.spare", "hello.txt",
                                           "race.bin", "sub"}));
+}
+
+TEST_F(FileFixture, ConcurrentWritersNeverShareAnInode) {
+  // Three threads overwrite one file while a fourth overwrites a sibling
+  // in the same directory, so replaced inodes pass through the
+  // directory's one spare in every order. Each file must only ever read
+  // back one of its own payloads, and end as two distinct inodes.
+  std::vector<std::string> shared_payloads, sibling_payloads;
+  for (int i = 0; i < 3; ++i) {
+    shared_payloads.push_back(std::string(2000 + 1500 * i, 'a' + i));
+  }
+  for (int i = 0; i < 2; ++i) {
+    sibling_payloads.push_back(std::string(2500 + 4000 * i, 'x' + i));
+  }
+  files.write("/data/shared.bin", span_of(shared_payloads[0]), alice());
+  files.write("/data/sibling.bin", span_of(sibling_payloads[0]), alice());
+  std::atomic<int> running{4};
+  std::vector<util::Thread> writers;
+  for (int w = 0; w < 3; ++w) {
+    writers.emplace_back([&, w] {
+      for (int i = 0; i < 500; ++i) {
+        files.write("/data/shared.bin", span_of(shared_payloads[(w + i) % 3]),
+                    alice());
+      }
+      --running;
+    });
+  }
+  writers.emplace_back([&] {
+    for (int i = 0; i < 1000; ++i) {
+      files.write("/data/sibling.bin", span_of(sibling_payloads[i % 2]),
+                  alice());
+    }
+    --running;
+  });
+  auto one_of = [](const std::string& got,
+                   const std::vector<std::string>& payloads) {
+    return std::find(payloads.begin(), payloads.end(), got) != payloads.end();
+  };
+  int reads = 0, wrong_shared = 0, wrong_sibling = 0;
+  auto check_both = [&] {
+    auto a = files.read("/data/shared.bin", 0, 1 << 20, alice());
+    auto b = files.read("/data/sibling.bin", 0, 1 << 20, alice());
+    if (!one_of(std::string(a.begin(), a.end()), shared_payloads)) {
+      ++wrong_shared;
+    }
+    if (!one_of(std::string(b.begin(), b.end()), sibling_payloads)) {
+      ++wrong_sibling;
+    }
+    ++reads;
+  };
+  while (running > 0) check_both();
+  for (util::Thread& t : writers) t.join();
+  // A reused inode shared by both files would show up in later writes.
+  for (int i = 0; i < 20; ++i) {
+    files.write("/data/shared.bin", span_of(shared_payloads[i % 3]), alice());
+    files.write("/data/sibling.bin", span_of(sibling_payloads[i % 2]),
+                alice());
+    check_both();
+  }
+  EXPECT_EQ(wrong_shared, 0) << "of " << reads << " reads";
+  EXPECT_EQ(wrong_sibling, 0) << "of " << reads << " reads";
+  struct stat a{}, b{};
+  ASSERT_EQ(::stat((dir + "/shared.bin").c_str(), &a), 0);
+  ASSERT_EQ(::stat((dir + "/sibling.bin").c_str(), &b), 0);
+  EXPECT_NE(a.st_ino, b.st_ino);
+  EXPECT_EQ(a.st_nlink, 1u);
+  EXPECT_EQ(b.st_nlink, 1u);
+}
+
+TEST_F(FileFixture, OverwriteLeavesOtherHardLinksAndModeAlone) {
+  // A second hard link to the target keeps the old contents: that inode
+  // is never reused for a later overwrite of any file.
+  const std::string old_text(4000, 'o');
+  files.write("/data/linked.bin", span_of(old_text), alice());
+  ASSERT_EQ(::link((dir + "/linked.bin").c_str(), (dir + "/other.bin").c_str()),
+            0);
+  files.write("/data/linked.bin", span_of(std::string(100, 'n')), alice());
+  for (int i = 0; i < 4; ++i) {
+    files.write("/data/hello.txt", span_of(std::string(50 + i, 'h')), alice());
+  }
+  std::ifstream other(dir + "/other.bin", std::ios::binary);
+  std::string held((std::istreambuf_iterator<char>(other)),
+                   std::istreambuf_iterator<char>());
+  EXPECT_EQ(held, old_text);
+
+  // An overwrite keeps the target's own mode, even on a reused inode.
+  ASSERT_EQ(::chmod((dir + "/hello.txt").c_str(), 0640), 0);
+  ASSERT_EQ(::chmod((dir + "/linked.bin").c_str(), 0600), 0);
+  for (int i = 0; i < 3; ++i) {
+    files.write("/data/hello.txt", span_of("h"), alice());
+    files.write("/data/linked.bin", span_of("l"), alice());
+  }
+  struct stat st{};
+  ASSERT_EQ(::stat((dir + "/hello.txt").c_str(), &st), 0);
+  EXPECT_EQ(st.st_mode & 07777, 0640u);
+  ASSERT_EQ(::stat((dir + "/linked.bin").c_str(), &st), 0);
+  EXPECT_EQ(st.st_mode & 07777, 0600u);
+}
+
+TEST_F(FileFixture, RemoveDeletesTheDirectorysSpare) {
+  // The spare holds the replaced contents; removing a file in the
+  // directory deletes it too, so removed data does not linger.
+  files.write("/data/gone.txt", span_of("first"), alice());
+  files.write("/data/gone.txt", span_of("second"), alice());
+  ASSERT_TRUE(std::filesystem::exists(dir + "/.clarens-tmp.spare"));
+  files.remove("/data/gone.txt", alice());
+  EXPECT_FALSE(std::filesystem::exists(dir + "/.clarens-tmp.spare"));
 }
 
 TEST_F(FileFixture, OpenReaderKeepsTheFileAnOverwriteReplaced) {

@@ -139,6 +139,19 @@ TEST_F(ShellFixture, SandboxEscapeRefused) {
   EXPECT_NE(cd.exit_code, 0);
 }
 
+TEST_F(ShellFixture, HiddenOverwriteFilesUnreachable) {
+  // The file service's overwrite scratch files (a directory's spare holds
+  // a replaced version of some file) are invisible and unreadable here.
+  shell.cmd_info(dn(kJoeStr));  // materialize the sandbox
+  std::ofstream(shell.sandbox_dir("joe") + "/.clarens-tmp.spare") << "old\n";
+  EXPECT_NE(shell.execute(dn(kJoeStr), "cat .clarens-tmp.spare").exit_code, 0);
+  EXPECT_NE(shell.execute(dn(kJoeStr), "cp .clarens-tmp.spare x").exit_code,
+            0);
+  EXPECT_NE(shell.execute(dn(kJoeStr), "mkdir .clarens-tmp.d").exit_code, 0);
+  EXPECT_EQ(shell.execute(dn(kJoeStr), "ls").out.find(".clarens-tmp"),
+            std::string::npos);
+}
+
 TEST_F(ShellFixture, UsersAreIsolated) {
   shell.execute(dn(kJoeStr), "touch joes-file");
   ShellResult ann = shell.execute(dn(kAnnStr), "ls");

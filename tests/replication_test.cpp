@@ -2,7 +2,8 @@
 // FileLayout encode/decode, the LayoutTable over db::Store, the
 // FaultInjector switchboard, the client RetryPolicy schedule, and the
 // Replicator's event intake / suspect tracking without its worker
-// thread (cluster behavior is covered by federation_cluster_test).
+// thread, and the ordering of a storage node's commit reports (cluster
+// behavior is covered by federation_cluster_test).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "client/routed.hpp"
+#include "core/commit_reports.hpp"
 #include "db/store.hpp"
 #include "discovery/discovery_server.hpp"
 #include "federation/layout.hpp"
@@ -402,6 +404,49 @@ TEST_F(ReplicatorTest, CommitWithoutRedirectAdoptsTheFile) {
   EXPECT_EQ(layout->dn, alice_.dn);
   EXPECT_TRUE(layout->confirmed);
   EXPECT_EQ(layout->replicas[0].node_id, "fedfarm/fst3");
+}
+
+TEST_F(ReplicatorTest, OutOfOrderCommitReportsConvergeOnTheFinalFile) {
+  // Two writers of one file on a storage node. Writer 1 hashed version 1,
+  // but its report reaches the head only after writer 2 wrote version 2
+  // and reported it. The head must still end up expecting version 2.
+  federation::Replicator replicator = make_replicator();
+  core::CommitReports reports;
+  const std::string path = "/data/run1/raced";
+  std::string on_disk = "version-1";
+  int hashes = 0;
+  auto hash = [&] {
+    ++hashes;
+    return core::FileService::FileChecksum{
+        "md5-of-" + on_disk, static_cast<std::int64_t>(on_disk.size())};
+  };
+  auto to_head = [&](const core::FileService::FileChecksum& sum) {
+    replicator.note_commit(path, "fedfarm/fst1", sum.md5, sum.size, alice_);
+  };
+  bool delayed = false;
+  reports.report(path, hash, [&](const core::FileService::FileChecksum& sum) {
+    if (!delayed) {
+      delayed = true;
+      on_disk = "version-2";               // writer 2's bytes land
+      reports.report(path, hash, to_head);  // and its report overtakes
+      EXPECT_EQ(layouts_.get(path)->checksum, "md5-of-version-2");
+    }
+    to_head(sum);  // writer 1's stale report arrives last
+  });
+  auto layout = layouts_.get(path);
+  ASSERT_TRUE(layout.has_value());
+  EXPECT_EQ(layout->checksum, "md5-of-version-2");
+  EXPECT_EQ(layout->size, 9);
+  // Writer 1 re-hashed once after seeing writer 2's report; writer 2 did
+  // not re-hash.
+  EXPECT_EQ(hashes, 3);
+
+  // A lone writer hashes its file once.
+  hashes = 0;
+  on_disk = "version-3";
+  reports.report(path, hash, to_head);
+  EXPECT_EQ(hashes, 1);
+  EXPECT_EQ(layouts_.get(path)->checksum, "md5-of-version-3");
 }
 
 TEST_F(ReplicatorTest, NoteRemoveHonorsComponentBoundaries) {
