@@ -526,11 +526,11 @@ http::Response ClarensServer::handle_rpc(const http::Request& request,
   }
   rpc_response.id = request_id;
 
-  // Serialize into a per-worker arena and hand the HTTP layer a view of
-  // it: the worker that runs this handler also performs the vectored
-  // write, so no heap copy of the body is ever made. The arena is
-  // compacted after pathological responses so a one-off huge payload
-  // doesn't pin its allocation.
+  // Serialize into a per-thread arena and hand the HTTP layer a view of
+  // it: an inline response is written from the view in the same reactor
+  // turn, and a pool worker copies it into the response before handing it
+  // to the reactor. The arena is compacted after pathological responses
+  // so a one-off huge payload doesn't pin its allocation.
   thread_local util::Buffer arena;
   arena.clear();
   arena.compact();
@@ -699,15 +699,22 @@ http::Response ClarensServer::handle_get(const http::Request& request,
       body += "</ul></body></html>";
       return http::Response::make(200, body, "text/html");
     }
-    http::Response response = http::Response::make(200, "", "application/octet-stream");
-    // Range support: "offset-length" via query (?offset=&length=).
+    // Range support: ?offset=&length=. The HTTP layer clamps the range to
+    // the file; a bound that is negative or not a number is refused.
     std::int64_t offset = 0, length = -1;
-    if (auto it = query.find("offset"); it != query.end()) {
-      offset = util::parse_int(it->second);
+    try {
+      for (auto [key, bound] : {std::pair{"offset", &offset},
+                                std::pair{"length", &length}}) {
+        if (auto it = query.find(key); it != query.end()) {
+          *bound = static_cast<std::int64_t>(std::min<std::uint64_t>(
+              util::parse_uint(it->second),
+              std::numeric_limits<std::int64_t>::max()));
+        }
+      }
+    } catch (const ParseError&) {
+      return http::Response::make(400, "invalid byte range\n");
     }
-    if (auto it = query.find("length"); it != query.end()) {
-      length = util::parse_int(it->second);
-    }
+    http::Response response = http::Response::make(200, "", "application/octet-stream");
     response.file = http::Response::FileRegion{real, offset, length};
     return response;
   } catch (const AccessError& e) {

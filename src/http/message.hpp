@@ -61,10 +61,11 @@ struct Response {
   Headers headers;
   std::string body;
 
-  /// When set, the body bytes live in an external arena (e.g. the worker's
-  /// reusable serialization buffer) and `body` is ignored. The referenced
-  /// storage must stay alive and unmodified until the response is written;
-  /// the server writes it in the same worker turn that produced it.
+  /// When set, the body bytes live in an external arena (e.g. the handler
+  /// thread's reusable serialization buffer) and `body` is ignored. The
+  /// referenced storage must stay alive and unmodified until the response
+  /// is written: the server writes an inline response in the same reactor
+  /// turn, and copies a worker's body into `body` before handing it over.
   std::optional<std::string_view> body_view;
 
   std::string_view effective_body() const {
@@ -72,8 +73,9 @@ struct Response {
   }
 
   /// When set, the server streams this file region as the body instead of
-  /// `body`, using sendfile(2) on plaintext connections. Content-Length is
-  /// set automatically.
+  /// `body`, using sendfile(2) on plaintext connections. The thread that
+  /// ran the handler opens and clamps it; Content-Length is set
+  /// automatically.
   struct FileRegion {
     std::string path;
     std::int64_t offset = 0;

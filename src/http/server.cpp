@@ -1,13 +1,12 @@
 #include "http/server.hpp"
 
 #include <fcntl.h>
-#include <sys/socket.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <array>
-#include <cstring>
+#include <cerrno>
 
 #include "http/parser.hpp"
 #include "util/buffer.hpp"
@@ -19,38 +18,23 @@ namespace clarens::http {
 
 namespace {
 
-/// Worker-side stream over an established TLS connection: encrypts through
-/// the connection's engine (write side — the drainer token serializes it
-/// against other writers) and writes blockingly on the raw socket. Reads
-/// stay on the reactor, which owns the engine's read side.
-struct TlsStream final : net::Stream {
-  net::TcpConnection& tcp;
-  tls::Engine& engine;
+// Inline-dispatch limits (DESIGN.md "Dispatch policy").
+/// Requests with bodies above this never run inline.
+constexpr std::size_t kInlineMaxBody = 16 * 1024;
+/// A method whose EWMA cost exceeds this spills (microseconds).
+constexpr double kInlineCostLimitUs = 500.0;
+/// Total inline handler time allowed per epoll tick (microseconds); past
+/// it the rest of the tick spills, bounding how long the reactor defers
+/// its read loop.
+constexpr double kInlineBudgetUs = 5000.0;
 
-  TlsStream(net::TcpConnection& t, tls::Engine& e) : tcp(t), engine(e) {}
-
-  std::size_t read(std::span<std::uint8_t>) override {
-    throw SystemError("TLS reads are reactor-side");
-  }
-
-  using net::Stream::write_all;
-
-  void write_all(std::span<const std::uint8_t> data) override {
-    thread_local util::Buffer wire;
-    wire.clear();
-    engine.encrypt(data, wire);
-    tcp.write_all(wire.peek());
-  }
-
-  void write_vec(std::span<const std::string_view> chunks) override {
-    thread_local util::Buffer wire;
-    wire.clear();
-    engine.encrypt(chunks, wire);
-    tcp.write_all(wire.peek());
-  }
-
-  void close() override { tcp.close(); }
-};
+/// File bytes per pread on the copy path (TLS, or a kernel that refuses
+/// sendfile): the outbox never holds more than one chunk of them.
+constexpr std::size_t kFileChunk = 64 * 1024;
+/// File bytes one flush may send to a reader that keeps pace before the
+/// reactor turns to its other connections; EPOLLOUT resumes the pump on
+/// the next tick. A slower reader fills the socket buffer first.
+constexpr std::size_t kPumpTurnBytes = 4 * 1024 * 1024;
 
 std::span<const std::uint8_t> as_bytes(std::string_view s) {
   return {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()};
@@ -69,15 +53,11 @@ void Server::start() {
   port_ = listener_.local_port();
   listener_.set_nonblocking(true);
 
-  std::size_t workers = options_.worker_threads;
-  if (workers == 0) {
-    // The reactor thread occupies one core; handlers get the rest. On a
-    // single-core host one worker minimizes scheduler churn between the
-    // reader and the handler.
-    std::size_t cores = util::Thread::hardware_concurrency();
-    workers = cores > 1 ? cores - 1 : 1;
-  }
-  pool_ = std::make_unique<util::ThreadPool>(workers);
+  // The reactor thread occupies one core; handlers get the rest. On a
+  // single-core host one worker minimizes scheduler churn between the
+  // reader and the handler.
+  std::size_t cores = util::Thread::hardware_concurrency();
+  pool_ = std::make_unique<util::ThreadPool>(cores > 1 ? cores - 1 : 1);
   reactor_ = std::make_unique<net::Reactor>();
   reactor_->add(listener_.fd(), net::Reactor::kRead,
                 [this](std::uint32_t) { on_acceptable(); });
@@ -86,36 +66,19 @@ void Server::start() {
 
 void Server::stop() {
   if (!running_.exchange(false)) return;
-  // Quiesce the reactor first: once it has joined, no thread reads
-  // connection fds, runs inline handlers, or dispatches new work, so the
-  // teardown below cannot race with accepts or parser feeds.
+  // Once the reactor has joined, no thread touches a connection: workers
+  // only compute, and the replies they post now wait in a reactor that
+  // never runs them.
   listener_.shutdown();
   reactor_->stop();
   // clarens-lint: allow(reactor-blocking): stop() runs on a control thread, never on the reactor it is joining.
   if (reactor_thread_.joinable()) reactor_thread_.join();
-
-  // Signal every live connection (shutdown leaves the fds intact for
-  // workers mid-write; their next write fails and they bail out).
-  {
-    util::LockGuard lock(conns_mutex_);
-    for (auto& [fd, conn] : conns_) ::shutdown(fd, SHUT_RDWR);
-  }
-
-  // Join handler workers (their posted close tasks are now no-ops).
   pool_.reset();
-
-  // Nothing references the connections any more; RAII closes the fds.
-  {
-    util::LockGuard lock(conns_mutex_);
-    conns_.clear();
-  }
+  conns_.clear();
+  // The reactor's callbacks and unrun tasks hold the last connection
+  // references; dropping them closes every fd.
   reactor_.reset();
   listener_.close();
-}
-
-std::size_t Server::live_connections() {
-  util::LockGuard lock(conns_mutex_);
-  return conns_.size();
 }
 
 void Server::on_acceptable() {
@@ -129,9 +92,9 @@ void Server::on_acceptable() {
     if (!tcp) return;
     if (!running_.load()) return;
 
-    if (live_connections() >= options_.max_connections) {
-      // Shed load. Best-effort and non-blocking, with no server lock
-      // held: a slow or hostile client must not stall the accept path.
+    if (conns_.size() >= options_.max_connections) {
+      // Shed load. Best-effort and non-blocking: a slow or hostile
+      // client must not stall the accept path.
       try {
         tcp->set_nonblocking(true);
         std::string wire = Response::make(503, "server busy\n").serialize();
@@ -163,10 +126,7 @@ void Server::admit(net::TcpConnection tcp) {
     conn->peer.encrypted = true;
   }
   int fd = conn->tcp.fd();
-  {
-    util::LockGuard lock(conns_mutex_);
-    conns_[fd] = conn;
-  }
+  conns_[fd] = conn;
   reactor_->add(fd, net::Reactor::kRead, [this, conn](std::uint32_t ready) {
     on_event(conn, ready);
   });
@@ -174,336 +134,236 @@ void Server::admit(net::TcpConnection tcp) {
 
 void Server::on_event(const std::shared_ptr<Conn>& conn, std::uint32_t ready) {
   if (!conn->tcp.valid()) return;
-  if (ready & net::Reactor::kWrite) flush_outbox(conn);
-  if (!conn->tcp.valid()) return;  // flush may have sealed the connection
-  if (ready & net::Reactor::kRead) on_readable(conn);
-}
-
-void Server::on_readable(const std::shared_ptr<Conn>& conn) {
-  bool eof = false;
-  bool bad = false;
-  std::vector<Conn::Pending> parsed;
-  std::array<std::uint8_t, 64 * 1024> chunk;
-
-  auto drain_parser = [&] {
-    std::optional<Request> request;
-    while ((request = conn->parser.next())) {
-      Conn::Pending item;
-      const DispatchOptions& d = options_.dispatch;
-      if (d.inline_dispatch && d.cost_key &&
-          request->body.size() <= d.inline_max_body) {
-        item.cost_key = d.cost_key(*request);
-      }
-      item.request = std::move(*request);
-      parsed.push_back(std::move(item));
+  if (ready & net::Reactor::kWrite) flush(conn);
+  if (!conn->tcp.valid()) return;  // flush may have closed the connection
+  if (ready & net::Reactor::kRead) {
+    // Reads stop once a connection is closing, so this is a hang-up or a
+    // socket error: nobody is left to answer.
+    if (conn->closing) {
+      close_conn(conn);
+      return;
     }
-  };
-
-  for (;;) {
-    std::optional<std::size_t> n;
-    try {
-      n = conn->tcp.read_some(chunk);
-    } catch (const SystemError&) {
-      eof = true;
-      break;
-    }
-    if (!n) break;  // drained the socket buffer
-    if (*n == 0) {
-      eof = true;  // client closed
-      break;
-    }
-
-    if (conn->engine) {
-      thread_local util::Buffer flight;
-      flight.clear();
-      try {
-        conn->engine->feed(std::span<const std::uint8_t>(chunk.data(), *n),
-                           flight);
-      } catch (const Error& e) {
-        CLARENS_LOG(Debug) << "TLS failure: " << e.what();
-        if (flight.readable() != 0) {
-          // Best-effort alert; never park bytes on a dead handshake. A
-          // busy drainer may be mid-write on this fd, and parked outbox
-          // bytes must go first — in either case just drop the alert
-          // (the connection is being torn down anyway) rather than
-          // interleave with another writer.
-          bool drainer_active;
-          {
-            util::LockGuard lock(conn->mutex);
-            drainer_active = conn->busy;
-          }
-          if (!drainer_active && conn->outbox.readable() == 0) {
-            try {
-              conn->tcp.write_some(flight.peek());
-            } catch (const SystemError&) {
-            }
-          }
-        }
-        eof = true;
-        break;
-      }
-      if (flight.readable() != 0) {
-        std::array<std::string_view, 1> out = {flight.peek_view()};
-        try {
-          write_or_park(conn, out);
-        } catch (const SystemError&) {
-          eof = true;
-          break;
-        }
-      }
-      if (conn->engine->handshake_done() && !conn->peer_set) {
-        conn->peer_set = true;
-        conn->peer.tls_identity = conn->engine->peer();
-        conn->peer.chain = conn->engine->peer_chain();
-      }
-      try {
-        while (conn->engine->plain_available() > 0) {
-          std::size_t m = conn->engine->read_plain(chunk);
-          conn->parser.feed(std::span<const std::uint8_t>(chunk.data(), m));
-          drain_parser();
-        }
-      } catch (const ParseError&) {
-        bad = true;
-        eof = true;
-        break;
-      }
-    } else {
-      try {
-        conn->parser.feed(std::span<const std::uint8_t>(chunk.data(), *n));
-        drain_parser();
-      } catch (const ParseError&) {
-        bad = true;
-        eof = true;
-        break;
-      }
-    }
-    // A short read almost always means the buffer is drained; skip the
-    // EAGAIN probe. Level-triggered epoll re-reports any residue.
-    if (*n < chunk.size()) break;
-  }
-
-  {
-    util::LockGuard lock(conn->mutex);
-    if (conn->closing) return;  // a worker already sealed this connection
-    for (auto& item : parsed) conn->ready.push_back(std::move(item));
-    if (bad) conn->bad = true;
-    if (eof) conn->closing = true;
+    on_readable(conn);
   }
   maybe_dispatch(conn);
 }
 
-void Server::maybe_dispatch(const std::shared_ptr<Conn>& conn) {
-  // While the outbox holds bytes the reactor owns the write side; any
-  // dispatched drainer would interleave its response with the parked one.
-  if (conn->outbox.readable() != 0) return;
-  bool run_inline = false;
-  bool spill = false;
-  bool close_now = false;
-  bool bad = false;
-  {
-    util::LockGuard lock(conn->mutex);
-    if (conn->busy) return;
-    if (!conn->ready.empty()) {
-      conn->busy = true;
-      if (inline_eligible(conn->ready.front())) {
-        run_inline = true;
-      } else {
-        spill = true;
+void Server::on_readable(const std::shared_ptr<Conn>& conn) {
+  std::array<std::uint8_t, 64 * 1024> chunk;
+  auto parse = [&](std::size_t n) {
+    conn->parser.feed(std::span<const std::uint8_t>(chunk.data(), n));
+    while (std::optional<Request> request = conn->parser.next()) {
+      Conn::Pending item;
+      const DispatchOptions& d = options_.dispatch;
+      if (d.inline_dispatch && d.cost_key &&
+          request->body.size() <= kInlineMaxBody) {
+        item.cost_key = d.cost_key(*request);
       }
-    } else if (conn->closing) {
-      close_now = true;
-      bad = conn->bad;
+      item.request = std::move(*request);
+      conn->ready.push_back(std::move(item));
     }
-  }
-  if (run_inline) {
-    inline_drain(conn);
-  } else if (spill) {
-    pool_->submit([this, conn] { worker_drain(conn); });
-  } else if (close_now) {
-    if (bad) {
-      // Malformed stream and no drainer to answer: refuse best-effort,
-      // never blocking the reactor on a full socket buffer.
-      std::string wire = Response::make(400, "malformed request\n").serialize();
-      try {
-        if (conn->engine && conn->engine->handshake_done()) {
-          thread_local util::Buffer enc;
-          enc.clear();
-          conn->engine->encrypt(as_bytes(wire), enc);
-          conn->tcp.write_some(enc.peek());
-        } else if (!conn->engine) {
-          conn->tcp.write_some(as_bytes(wire));
-        }
-      } catch (const SystemError&) {
-      }
-    }
-    close_conn(conn);
-  }
-}
+  };
 
-bool Server::inline_eligible(const Conn::Pending& item) {
-  const DispatchOptions& d = options_.dispatch;
-  if (!d.inline_dispatch || item.cost_key.empty()) return false;
-  std::uint64_t tick = reactor_->ticks();
-  if (tick != budget_tick_) {
-    budget_tick_ = tick;
-    budget_spent_us_ = 0;
-  }
-  if (budget_spent_us_ >= d.inline_budget_us) return false;
-  return cost_of(item.cost_key) < d.inline_cost_limit_us;
-}
-
-double Server::cost_of(const std::string& key) {
-  util::LockGuard lock(costs_mutex_);
-  auto it = costs_.find(key);
-  // Unknown methods get the optimistic answer: run inline once, measure,
-  // and let the EWMA evict them if they turn out slow.
-  return it == costs_.end() ? 0.0 : it->second;
-}
-
-void Server::note_cost(const std::string& key, double us) {
-  util::LockGuard lock(costs_mutex_);
-  double& cost = costs_[key];
-  cost = cost == 0.0 ? us : 0.7 * cost + 0.3 * us;
-}
-
-Response Server::run_handler(const Request& request, const Peer& peer,
-                             const std::string& cost_key) {
-  util::Stopwatch watch;
-  Response response;
+  bool eof = false;
   try {
-    response = handler_(request, peer);
-  } catch (const std::exception& e) {
-    response = Response::make(500, std::string(e.what()) + "\n");
+    for (;;) {
+      std::optional<std::size_t> n = conn->tcp.read_some(chunk);
+      if (!n) break;  // drained the socket buffer
+      if (*n == 0) {
+        eof = true;  // client closed
+        break;
+      }
+      if (!conn->engine) {
+        parse(*n);
+      } else {
+        thread_local util::Buffer flight;
+        flight.clear();
+        try {
+          conn->engine->feed(std::span<const std::uint8_t>(chunk.data(), *n),
+                             flight);
+        } catch (const Error& e) {
+          CLARENS_LOG(Debug) << "TLS failure: " << e.what();
+          // Best-effort alert, unless response bytes are queued ahead of it.
+          if (flight.readable() != 0 && conn->outbox.readable() == 0 &&
+              !conn->pump) {
+            conn->tcp.write_some(flight.peek());
+          }
+          eof = true;
+          break;
+        }
+        if (flight.readable() != 0) {
+          std::array<std::string_view, 1> out = {flight.peek_view()};
+          write_or_park(conn, out);
+        }
+        if (conn->engine->handshake_done() && !conn->peer_set) {
+          conn->peer_set = true;
+          conn->peer.tls_identity = conn->engine->peer();
+          conn->peer.chain = conn->engine->peer_chain();
+        }
+        while (conn->engine->plain_available() > 0) {
+          parse(conn->engine->read_plain(chunk));
+        }
+      }
+      // A short read almost always means the buffer is drained; skip the
+      // EAGAIN probe. Level-triggered epoll re-reports any residue.
+      if (*n < chunk.size()) break;
+    }
+  } catch (const ParseError&) {
+    conn->bad = true;
+    eof = true;
+  } catch (const SystemError&) {
+    eof = true;
   }
-  if (!cost_key.empty()) note_cost(cost_key, watch.seconds() * 1e6);
-  return response;
+  if (eof) set_closing(*conn);
 }
 
-void Server::inline_drain(const std::shared_ptr<Conn>& conn) {
-  // Reactor thread, holding the drainer token (busy). Each iteration runs
-  // one measured-cheap request and writes its response without blocking;
-  // the first ineligible request (or an exhausted tick budget) hands the
-  // token to a pool worker so the reactor returns to its fds.
+void Server::maybe_dispatch(const std::shared_ptr<Conn>& conn) {
   for (;;) {
-    Conn::Pending item;
-    {
-      util::LockGuard lock(conn->mutex);
-      if (conn->ready.empty()) {
-        conn->busy = false;
-        if (!conn->closing) return;
-        break;  // drained a closing connection: finish below
-      }
-      if (!inline_eligible(conn->ready.front())) {
-        // Spill the rest of the queue; the token transfers to the worker.
-        pool_->submit([this, conn] { worker_drain(conn); });
+    // A response being computed, or one waiting for EPOLLOUT, holds the
+    // queue: that is what keeps pipelined responses in order.
+    if (!conn->tcp.valid() || conn->busy ||
+        (conn->interest & net::Reactor::kWrite)) {
+      return;
+    }
+    // Starts the file pump an inline emit() left behind.
+    if (!flush(conn)) return;
+    if (conn->ready.empty()) {
+      if (!conn->closing) return;
+      if (!conn->bad) {
+        close_conn(conn);
         return;
       }
-      item = std::move(conn->ready.front());
-      conn->ready.pop_front();
+      // Malformed stream: answer 400, then close once it has drained.
+      Request malformed;
+      malformed.headers.set("Connection", "close");
+      Reply refusal;
+      refusal.response = Response::make(400, "malformed request\n");
+      emit(conn, malformed, std::move(refusal));
+      continue;
     }
 
+    Conn::Pending item = std::move(conn->ready.front());
+    conn->ready.pop_front();
     requests_.fetch_add(1, std::memory_order_relaxed);
+    if (!inline_eligible(item)) {
+      spill(conn, std::move(item));
+      return;
+    }
     inlined_.fetch_add(1, std::memory_order_relaxed);
-    util::Stopwatch watch;
-    Response response = run_handler(item.request, conn->peer, item.cost_key);
-    budget_spent_us_ += watch.seconds() * 1e6;
+    // The body may view the handler's arena; emit() writes or parks it
+    // before the reactor runs another handler.
+    Reply reply = run_handler(item.request, conn->peer);
+    budget_spent_us_ += reply.handler_us;
+    note_cost(item.cost_key, reply.handler_us);
+    emit(conn, item.request, std::move(reply));
+  }
+}
 
-    bool close_after = false;
-    if (!item.request.keep_alive()) {
-      response.headers.set("Connection", "close");
-      close_after = true;
+void Server::spill(const std::shared_ptr<Conn>& conn, Conn::Pending item) {
+  conn->busy = true;
+  pool_->submit([this, conn, item = std::move(item)]() mutable {
+    auto reply = std::make_shared<Reply>(run_handler(item.request, conn->peer));
+    // A body view points into the handler's thread-local arena, which this
+    // worker overwrites on its next request: the reply must own its bytes.
+    Response& response = reply->response;
+    if (response.body_view) {
+      response.body.assign(*response.body_view);
+      response.body_view.reset();
     }
-
-    if (response.file) {
-      // File regions stream with blocking I/O (sendfile or the TLS read
-      // loop) — hand both the send and the drainer token to a worker.
-      pool_->submit([this, conn, request = std::move(item.request),
-                     response = std::move(response), close_after]() mutable {
-        bool ok = true;
-        try {
-          worker_send(*conn, request, std::move(response));
-        } catch (const SystemError&) {
-          ok = false;
-        }
-        if (!ok || close_after) {
-          util::LockGuard lock(conn->mutex);
-          conn->closing = true;
-          conn->ready.clear();
-        }
-        worker_drain(conn);
-      });
-      return;
-    }
-
-    std::string_view body = response.effective_body();
-    thread_local util::Buffer head;
-    head.clear();
-    response.serialize_head_into(head, body.size());
-    std::array<std::string_view, 2> chunks = {
-        head.peek_view(),
-        item.request.method != "HEAD" ? body : std::string_view()};
-    bool flushed = false;
-    bool broken = false;
-    try {
-      if (conn->engine) {
-        thread_local util::Buffer enc;
-        enc.clear();
-        conn->engine->encrypt(chunks, enc);
-        std::array<std::string_view, 1> wire = {enc.peek_view()};
-        flushed = write_or_park(conn, wire);
-      } else {
-        flushed = write_or_park(conn, chunks);
-      }
-    } catch (const SystemError&) {
-      broken = true;  // peer vanished mid-write
-    }
-
-    if (broken || (close_after && flushed)) {
-      {
-        util::LockGuard lock(conn->mutex);
-        conn->closing = true;
-        conn->ready.clear();
-        conn->busy = false;
-      }
-      close_conn(conn);
-      return;
-    }
-    if (!flushed) {
-      // The tail is parked in the outbox; the reactor resumes this queue
-      // (or closes, if close_after marked it) once EPOLLOUT drains it.
-      util::LockGuard lock(conn->mutex);
-      if (close_after) {
-        conn->closing = true;
-        conn->ready.clear();
-      }
+    reactor_->post([this, conn, item = std::move(item), reply] {
       conn->busy = false;
-      return;
-    }
-  }
+      note_cost(item.cost_key, reply->handler_us);
+      if (!conn->tcp.valid()) return;  // closed while the handler ran
+      emit(conn, item.request, std::move(*reply));
+      maybe_dispatch(conn);
+    });
+  });
+}
 
-  // Drained a closing connection on the reactor: best-effort 400 if the
-  // stream was malformed, then tear down. busy is already released, but
-  // no other dispatcher can run — we are the dispatcher.
-  bool bad;
-  {
-    util::LockGuard lock(conn->mutex);
-    bad = conn->bad;
+Server::Reply Server::run_handler(const Request& request, const Peer& peer) {
+  Reply reply;
+  util::Stopwatch watch;
+  try {
+    reply.response = handler_(request, peer);
+  } catch (const std::exception& e) {
+    reply.response = Response::make(500, std::string(e.what()) + "\n");
   }
-  if (bad) {
-    std::string wire = Response::make(400, "malformed request\n").serialize();
-    try {
-      if (conn->engine && conn->engine->handshake_done()) {
-        thread_local util::Buffer enc;
-        enc.clear();
-        conn->engine->encrypt(as_bytes(wire), enc);
-        conn->tcp.write_some(enc.peek());
-      } else if (!conn->engine) {
-        conn->tcp.write_some(as_bytes(wire));
-      }
-    } catch (const SystemError&) {
+  reply.handler_us = watch.seconds() * 1e6;
+  if (!reply.response.file) return reply;
+
+  // Resolve the file region on this thread, so the reactor never opens or
+  // stats a file: it gets an open fd and a clamped range, or a 404.
+  Response& response = reply.response;
+  Response::FileRegion region = std::move(*response.file);
+  response.file.reset();
+  net::Fd fd(::open(region.path.c_str(), O_RDONLY | O_CLOEXEC));
+  if (!fd.valid()) {
+    response = Response::make(404, "file not found\n");
+    return reply;
+  }
+  FileBody file;
+  if (region.head.empty()) {
+    // GET-style region: clamp to the file as it is now.
+    struct stat st{};
+    if (::fstat(fd.get(), &st) != 0 || !S_ISREG(st.st_mode)) {
+      response = Response::make(404, "not a regular file\n");
+      return reply;
     }
+    file.offset = std::clamp<std::int64_t>(region.offset, 0, st.st_size);
+    std::int64_t length = region.length;
+    if (length < 0 || length > st.st_size - file.offset) {
+      length = st.st_size - file.offset;
+    }
+    file.length = static_cast<std::size_t>(length);
+  } else {
+    // RPC envelope: the handler clamped the range, and head/tail carry
+    // the serialized framing around the raw bytes.
+    file.offset = region.offset;
+    file.length = static_cast<std::size_t>(region.length);
   }
-  close_conn(conn);
+  file.fd = std::move(fd);
+  file.tail = std::move(region.tail);
+  response.body = std::move(region.head);
+  response.body_view.reset();
+  reply.file = std::move(file);
+  return reply;
+}
+
+void Server::emit(const std::shared_ptr<Conn>& conn, const Request& request,
+                  Reply reply) {
+  Response& response = reply.response;
+  if (!request.keep_alive()) {
+    response.headers.set("Connection", "close");
+    conn->ready.clear();
+    conn->bad = false;
+    set_closing(*conn);
+  }
+  std::string_view body = response.effective_body();
+  std::size_t length = body.size();
+  if (reply.file) length += reply.file->length + reply.file->tail.size();
+  thread_local util::Buffer head;
+  head.clear();
+  response.serialize_head_into(head, length);
+  bool head_only = request.method == "HEAD";
+  std::array<std::string_view, 2> chunks = {
+      head.peek_view(), head_only ? std::string_view() : body};
+  try {
+    send(conn, chunks);
+  } catch (const SystemError&) {
+    close_conn(conn);  // peer vanished mid-write
+    return;
+  }
+  if (reply.file && !head_only) conn->pump = std::move(reply.file);
+}
+
+bool Server::send(const std::shared_ptr<Conn>& conn,
+                  std::span<const std::string_view> chunks) {
+  if (!conn->engine) return write_or_park(conn, chunks);
+  thread_local util::Buffer wire;
+  wire.clear();
+  conn->engine->encrypt(chunks, wire);
+  std::array<std::string_view, 1> sealed = {wire.peek_view()};
+  return write_or_park(conn, sealed);
 }
 
 bool Server::write_or_park(const std::shared_ptr<Conn>& conn,
@@ -526,233 +386,117 @@ bool Server::write_or_park(const std::shared_ptr<Conn>& conn,
     parked = true;
   }
   if (!parked) return true;
-  arm_write(*conn, true);
+  watch(*conn, true);
   return false;
 }
 
-void Server::flush_outbox(const std::shared_ptr<Conn>& conn) {
-  if (!conn->tcp.valid()) return;
-  if (conn->outbox.readable() != 0) {
-    try {
-      std::size_t n = conn->tcp.write_some(conn->outbox.peek());
-      conn->outbox.consume(n);
-    } catch (const SystemError&) {
-      {
-        util::LockGuard lock(conn->mutex);
-        conn->closing = true;
-        conn->ready.clear();
+bool Server::flush(const std::shared_ptr<Conn>& conn) {
+  std::size_t turn = 0;
+  try {
+    if (conn->outbox.readable() != 0) {
+      conn->outbox.consume(conn->tcp.write_some(conn->outbox.peek()));
+      if (conn->outbox.readable() != 0) {
+        watch(*conn, true);
+        return false;
       }
-      close_conn(conn);
-      return;
     }
-  }
-  if (conn->outbox.readable() == 0) {
-    conn->outbox.compact();
-    arm_write(*conn, false);
-    maybe_dispatch(conn);  // resume the queue (or close) now that writes drained
-  }
-}
-
-void Server::arm_write(Conn& conn, bool on) {
-  if (conn.want_write == on) return;
-  if (!reactor_->watching(conn.tcp.fd())) return;
-  std::uint32_t interest = net::Reactor::kRead;
-  if (on) interest |= net::Reactor::kWrite;
-  reactor_->modify(conn.tcp.fd(), interest);
-  conn.want_write = on;
-}
-
-void Server::worker_drain(std::shared_ptr<Conn> conn) {
-  for (;;) {
-    Conn::Pending item;
-    {
-      util::LockGuard lock(conn->mutex);
-      if (conn->ready.empty()) {
-        if (!conn->closing) {
-          conn->busy = false;  // reactor will redispatch on new input
-          return;
+    while (conn->pump) {
+      FileBody& file = *conn->pump;
+      if (file.length == 0) {
+        std::string tail = std::move(file.tail);
+        conn->pump.reset();
+        std::array<std::string_view, 1> chunks = {tail};
+        if (!send(conn, chunks)) return false;
+        break;
+      }
+      if (turn >= kPumpTurnBytes) {
+        watch(*conn, true);  // the socket is still writable: resume next tick
+        return false;
+      }
+      if (!conn->engine && !file.copy) {
+        std::optional<std::size_t> sent =
+            conn->tcp.sendfile_some(file.fd.get(), file.offset, file.length);
+        if (!sent) {
+          file.copy = true;  // the kernel refuses sendfile for this file
+          continue;
         }
-        break;  // drained a closing connection: finish below
+        if (*sent == 0) {
+          watch(*conn, true);
+          return false;
+        }
+        file.offset += static_cast<std::int64_t>(*sent);
+        file.length -= *sent;
+        turn += *sent;
+        continue;
       }
-      item = std::move(conn->ready.front());
-      conn->ready.pop_front();
-    }
-
-    requests_.fetch_add(1, std::memory_order_relaxed);
-    Response response = run_handler(item.request, conn->peer, item.cost_key);
-    bool close_after = false;
-    if (!item.request.keep_alive()) {
-      response.headers.set("Connection", "close");
-      close_after = true;
-    }
-    try {
-      worker_send(*conn, item.request, std::move(response));
-    } catch (const SystemError&) {
-      close_after = true;  // peer vanished mid-write
-    }
-    if (close_after) {
-      util::LockGuard lock(conn->mutex);
-      conn->closing = true;
-      conn->ready.clear();
-      break;
-    }
-  }
-
-  // Finishing a closing connection. `busy` is still held, so the
-  // reactor cannot close the fd underneath the 400 write below.
-  bool bad;
-  {
-    util::LockGuard lock(conn->mutex);
-    bad = conn->bad;
-  }
-  if (bad) {
-    std::string wire = Response::make(400, "malformed request\n").serialize();
-    try {
-      if (conn->engine && conn->engine->handshake_done()) {
-        TlsStream stream(conn->tcp, *conn->engine);
-        stream.write_all(wire);
-      } else if (!conn->engine) {
-        conn->tcp.write_all(wire);
+      std::array<char, kFileChunk> chunk;
+      ssize_t n = ::pread(file.fd.get(), chunk.data(),
+                          std::min(file.length, chunk.size()), file.offset);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) {
+        // The Content-Length is committed; a file truncated since it was
+        // opened can only be answered by killing the connection.
+        throw SystemError("file region shrank mid-response");
       }
-    } catch (const SystemError&) {
+      std::size_t got = static_cast<std::size_t>(n);
+      file.offset += n;
+      file.length -= got;
+      turn += got;
+      std::array<std::string_view, 1> chunks = {
+          std::string_view(chunk.data(), got)};
+      if (!send(conn, chunks)) return false;
     }
+  } catch (const SystemError&) {
+    close_conn(conn);
+    return false;
   }
-  {
-    util::LockGuard lock(conn->mutex);
-    conn->busy = false;
-  }
-  request_close(conn);
+  conn->outbox.compact();
+  watch(*conn, false);
+  return true;
 }
 
-void Server::worker_send(Conn& conn, const Request& request,
-                         Response response) {
-  if (conn.engine) {
-    TlsStream stream(conn.tcp, *conn.engine);
-    send_response(stream, nullptr, request, std::move(response));
-  } else {
-    send_response(conn.tcp, &conn.tcp, request, std::move(response));
-  }
+void Server::set_closing(Conn& conn) {
+  conn.closing = true;
+  watch(conn, (conn.interest & net::Reactor::kWrite) != 0);
 }
 
-void Server::request_close(const std::shared_ptr<Conn>& conn) {
-  reactor_->post([this, conn] { close_conn(conn); });
+void Server::watch(Conn& conn, bool write) {
+  // A closing connection reads no more; EPOLLHUP/EPOLLERR still arrive.
+  std::uint32_t interest = 0;
+  if (!conn.closing) interest |= net::Reactor::kRead;
+  if (write) interest |= net::Reactor::kWrite;
+  if (interest == conn.interest || !conn.tcp.valid()) return;
+  reactor_->modify(conn.tcp.fd(), interest);
+  conn.interest = interest;
 }
 
 void Server::close_conn(const std::shared_ptr<Conn>& conn) {
   if (!conn->tcp.valid()) return;  // already torn down (idempotent)
   int fd = conn->tcp.fd();
-  if (reactor_->watching(fd)) reactor_->remove(fd);
+  reactor_->remove(fd);
   conn->tcp.close();
-  util::LockGuard lock(conns_mutex_);
+  conn->pump.reset();  // close the file now, not when the last reference goes
   conns_.erase(fd);
 }
 
-void Server::send_response(net::Stream& stream, net::TcpConnection* plain_tcp,
-                           const Request& request, Response response) {
-  if (!response.file) {
-    // Head into a per-worker scratch buffer, then one vectored write of
-    // {head, body}: the body (often a view of the handler's serialization
-    // arena) is never copied into a combined wire string.
-    std::string_view body = response.effective_body();
-    thread_local util::Buffer head;
-    head.clear();
-    response.serialize_head_into(head, body.size());
-    std::array<std::string_view, 2> chunks = {
-        head.peek_view(),
-        request.method != "HEAD" ? body : std::string_view()};
-    stream.write_vec(chunks);
-    return;
+bool Server::inline_eligible(const Conn::Pending& item) {
+  if (item.cost_key.empty()) return false;
+  std::uint64_t tick = reactor_->ticks();
+  if (tick != budget_tick_) {
+    budget_tick_ = tick;
+    budget_spent_us_ = 0;
   }
+  if (budget_spent_us_ >= kInlineBudgetUs) return false;
+  // Unknown methods get the optimistic answer: run inline once, measure,
+  // and let the EWMA evict them if they turn out slow.
+  auto it = costs_.find(item.cost_key);
+  return it == costs_.end() || it->second < kInlineCostLimitUs;
+}
 
-  const auto& region = *response.file;
-  int fd = ::open(region.path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    stream.write_all(Response::make(404, "file not found\n").serialize());
-    return;
-  }
-
-  if (!region.head.empty()) {
-    // RPC envelope mode (zero-copy file.read): the handler already
-    // resolved and clamped the region, and head/tail carry the serialized
-    // response framing around the raw bytes. The body bypasses the
-    // serialization arena entirely — sendfile(2) on plaintext.
-    std::size_t length = static_cast<std::size_t>(region.length);
-    std::string_view body_head = region.head;
-    std::string_view body_tail = region.tail;
-    thread_local util::Buffer http_head;
-    http_head.clear();
-    response.serialize_head_into(http_head,
-                                 body_head.size() + length + body_tail.size());
-    std::array<std::string_view, 2> opening = {http_head.peek_view(),
-                                               body_head};
-    stream.write_vec(opening);
-    std::size_t sent = 0;
-    if (plain_tcp) {
-      sent = plain_tcp->sendfile(fd, region.offset, length);
-    } else {
-      if (::lseek(fd, region.offset, SEEK_SET) < 0) {
-        ::close(fd);
-        throw SystemError("lseek failed");
-      }
-      std::array<std::uint8_t, 64 * 1024> buf;
-      while (sent < length) {
-        ssize_t n = ::read(fd, buf.data(), std::min(length - sent, buf.size()));
-        if (n <= 0) break;
-        stream.write_all(std::span<const std::uint8_t>(
-            buf.data(), static_cast<std::size_t>(n)));
-        sent += static_cast<std::size_t>(n);
-      }
-    }
-    ::close(fd);
-    if (sent != length) {
-      // The Content-Length is committed; a short file (truncated between
-      // resolve and send) can only be answered by killing the connection.
-      throw SystemError("file region shrank mid-response");
-    }
-    stream.write_all(body_tail);
-    return;
-  }
-
-  // GET-style file responses: stat, fix up length, stream.
-  struct stat st{};
-  if (fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
-    ::close(fd);
-    stream.write_all(Response::make(404, "not a regular file\n").serialize());
-    return;
-  }
-  std::int64_t offset = region.offset;
-  std::int64_t length = region.length;
-  if (offset > st.st_size) offset = st.st_size;
-  if (length < 0 || offset + length > st.st_size) length = st.st_size - offset;
-
-  stream.write_all(response.serialize_head(static_cast<std::size_t>(length)));
-  if (request.method == "HEAD" || length == 0) {
-    ::close(fd);
-    return;
-  }
-
-  if (plain_tcp) {
-    // Zero-copy path.
-    plain_tcp->sendfile(fd, offset, static_cast<std::size_t>(length));
-  } else {
-    // Encrypted: read and push through the record layer.
-    if (::lseek(fd, offset, SEEK_SET) < 0) {
-      ::close(fd);
-      throw SystemError("lseek failed");
-    }
-    std::array<std::uint8_t, 64 * 1024> buf;
-    std::int64_t remaining = length;
-    while (remaining > 0) {
-      ssize_t n = ::read(fd, buf.data(),
-                         std::min<std::int64_t>(remaining,
-                                                static_cast<std::int64_t>(buf.size())));
-      if (n <= 0) break;
-      stream.write_all(std::span<const std::uint8_t>(buf.data(),
-                                                     static_cast<std::size_t>(n)));
-      remaining -= n;
-    }
-  }
-  ::close(fd);
+void Server::note_cost(const std::string& key, double us) {
+  if (key.empty()) return;
+  auto [it, fresh] = costs_.try_emplace(key, us);
+  if (!fresh) it->second = 0.7 * it->second + 0.3 * us;
 }
 
 }  // namespace clarens::http

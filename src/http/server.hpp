@@ -7,28 +7,29 @@
 // authenticated RPCs, §4):
 //
 //   * a single reactor thread owns the listening socket and every
-//     connection fd (non-blocking, plaintext and TLS alike), accepts,
-//     reads, and feeds the incremental request parser; TLS bytes pass
-//     through a per-connection sans-IO tls::Engine, so handshakes and
-//     record decryption are driven by readiness events, never by a
-//     blocking read;
-//   * complete requests are queued per connection. Small, measured-cheap
-//     requests are executed *inline* on the reactor thread (adaptive
-//     dispatch: per-method EWMA cost, body-size cap, per-epoll-tick
-//     budget), with responses written non-blockingly — any unsent tail
-//     parks in a per-connection outbox drained on EPOLLOUT. Everything
-//     else spills to the `util::ThreadPool` workers that run the handler
-//     and write the response blockingly (keep-alive pipelining and
-//     per-connection ordering preserved in both modes, and across mode
-//     switches);
-//   * connection teardown is always executed on the reactor thread
-//     (workers schedule it via Reactor::post), so an fd is never closed
-//     while the reactor might still act on it.
+//     connection fd (non-blocking, plaintext and TLS alike): it accepts,
+//     reads, feeds the incremental request parser, and writes every
+//     response byte. TLS bytes pass through a per-connection sans-IO
+//     tls::Engine that only the reactor touches, so handshakes, record
+//     decryption and encryption are all driven by readiness events;
+//   * complete requests are queued per connection and run one at a time.
+//     Small, measured-cheap requests run *inline* on the reactor thread
+//     (adaptive dispatch: per-method EWMA cost, body-size cap, per-epoll-
+//     tick budget). Everything else becomes one `util::ThreadPool` task
+//     that only computes: it runs the handler, takes ownership of the
+//     body, opens any file region, and posts the Response back;
+//   * one write path serves both: the reactor serializes the head,
+//     encrypts on TLS connections, and writes non-blockingly, parking any
+//     unsent tail in a per-connection outbox drained on EPOLLOUT. File
+//     bodies are pumped from EPOLLOUT too — non-blocking sendfile(2) on
+//     plaintext (the zero-copy path §2.3 credits for file throughput),
+//     64 KiB pread chunks through the outbox on TLS. A connection
+//     dispatches its next request only when the outbox and the pump are
+//     empty, which keeps pipelined responses in order with nothing shared
+//     between threads.
 //
-// File-region responses use sendfile(2) on plaintext connections — the
-// zero-copy path §2.3 credits for file throughput — optionally wrapped in
-// an RPC envelope (FileRegion::head/tail) so large file.read responses
-// bypass the serialization arena entirely.
+// File regions may carry an RPC envelope (FileRegion::head/tail), so
+// large binary file.read responses bypass the serialization arena too.
 #pragma once
 
 #include <atomic>
@@ -67,19 +68,11 @@ using HandlerFn = std::function<Response(const Request&, const Peer&)>;
 /// a request inline iff cost_key() returns a non-empty key, the body is
 /// small, the key's EWMA cost is under the limit, and this epoll tick's
 /// inline budget is not exhausted; otherwise the request spills to the
-/// worker pool.
+/// worker pool. The limits are constants in server.cpp.
 struct DispatchOptions {
   /// Master switch; off = every request takes the worker handoff (the
   /// pre-inline behavior, kept benchmarkable as the ablation).
   bool inline_dispatch = true;
-  /// Requests with bodies above this never run inline.
-  std::size_t inline_max_body = 16 * 1024;
-  /// A method whose EWMA cost exceeds this spills (microseconds).
-  double inline_cost_limit_us = 500.0;
-  /// Total inline handler time allowed per epoll tick (microseconds);
-  /// past it the remainder of the tick spills, bounding how long the
-  /// reactor defers its read loop.
-  double inline_budget_us = 5000.0;
   /// Maps a parsed request to its cost-tracking key ("" = never inline).
   /// Unset = inline dispatch disabled: only the embedder knows which
   /// handlers are safe to run on the reactor thread.
@@ -91,9 +84,6 @@ struct ServerOptions {
   std::uint16_t port = 0;  // 0 = ephemeral
   std::optional<tls::TlsConfig> tls;
   std::size_t max_connections = 1024;
-  /// Handler worker threads; 0 = hardware_concurrency - 1 (min 1), the
-  /// reactor thread taking the remaining core.
-  std::size_t worker_threads = 0;
   DispatchOptions dispatch;
 };
 
@@ -123,78 +113,89 @@ class Server {
   std::uint64_t requests_inlined() const { return inlined_.load(); }
 
  private:
-  /// Per-connection state. The reactor thread owns `tcp` reads, `parser`,
-  /// the TLS engine's read side, and `outbox`; at most one drainer at a
-  /// time (a worker, or the reactor running inline) owns writes and the
-  /// front of `ready` — the `busy` flag is that ownership token. While
-  /// `outbox` is non-empty the reactor owns the write side exclusively
-  /// and no drainer is dispatched.
+  /// A file body opened by the thread that ran the handler: the reactor
+  /// sends `length` bytes from `offset`, then `tail`.
+  struct FileBody {
+    net::Fd fd;
+    std::int64_t offset = 0;
+    std::size_t length = 0;
+    std::string tail;  // RPC framing after the file bytes
+    bool copy = false;  // pread through the outbox instead of sendfile
+  };
+
+  /// A handler's outcome, ready for emit().
+  struct Reply {
+    Response response;
+    std::optional<FileBody> file;
+    double handler_us = 0;
+  };
+
+  /// Per-connection state. Every field is touched by the reactor thread
+  /// only; a pool task reads `peer` (set before any request is parsed)
+  /// and hands its Reply back through Reactor::post.
   struct Conn {
     explicit Conn(net::TcpConnection c) : tcp(std::move(c)) {}
     net::TcpConnection tcp;
     Peer peer;
-    /// Reactor thread only: latches the one-shot post-handshake peer
-    /// assignment. Field values can't serve as the guard — an anonymous
-    /// TLS peer leaves them empty, and re-assigning on every readable
-    /// event would race a worker reading `peer` in the handler.
+    /// Latches the one-shot post-handshake peer assignment (an anonymous
+    /// TLS peer leaves the fields empty, so they can't serve as the guard).
     bool peer_set = false;
-    RequestParser parser;  // reactor thread only
-    /// Sans-IO TLS state machine; null on plaintext connections. Read
-    /// side (feed/read_plain) is reactor-only; write side (encrypt) is
-    /// serialized by the drainer token.
+    RequestParser parser;
+    /// Sans-IO TLS state machine; null on plaintext connections.
     std::unique_ptr<tls::Engine> engine;
-    /// Unwritten response/handshake bytes (reactor thread only).
+    /// Unwritten response/handshake bytes.
     util::Buffer outbox;
-    bool want_write = false;  // reactor thread only: EPOLLOUT armed
+    /// The file body being sent, after `outbox` drains.
+    std::optional<FileBody> pump;
+    /// Current epoll interest (Reactor::kRead / kWrite bits).
+    std::uint32_t interest = net::Reactor::kRead;
 
-    /// A parsed request plus its dispatch-cost key (computed once on the
-    /// reactor at parse time; "" = never inline).
+    /// A parsed request plus its dispatch-cost key (computed once at
+    /// parse time; "" = never inline).
     struct Pending {
       Request request;
       std::string cost_key;
     };
-
-    util::Mutex mutex{util::LockLevel::kHttpConn};
     /// Parsed, not yet handled.
-    std::deque<Pending> ready CLARENS_GUARDED_BY(mutex);
-    /// A drainer (worker or inline) owns writes + the ready front.
-    bool busy CLARENS_GUARDED_BY(mutex) = false;
-    /// Drain then close; no new dispatch.
-    bool closing CLARENS_GUARDED_BY(mutex) = false;
+    std::deque<Pending> ready;
+    /// A pool task is computing the response to this connection's
+    /// current request.
+    bool busy = false;
+    /// Answer what is queued, then close; reads stop.
+    bool closing = false;
     /// Malformed stream: answer 400 when drained.
-    bool bad CLARENS_GUARDED_BY(mutex) = false;
+    bool bad = false;
   };
 
-  // Reactor-thread handlers.
   void on_acceptable();
   void admit(net::TcpConnection tcp);
   void on_event(const std::shared_ptr<Conn>& conn, std::uint32_t ready);
   void on_readable(const std::shared_ptr<Conn>& conn);
+  /// Runs queued requests while the connection has nothing in flight.
   void maybe_dispatch(const std::shared_ptr<Conn>& conn);
-  void inline_drain(const std::shared_ptr<Conn>& conn);
-  void flush_outbox(const std::shared_ptr<Conn>& conn);
-  void arm_write(Conn& conn, bool on);
+  void spill(const std::shared_ptr<Conn>& conn, Conn::Pending item);
+  Reply run_handler(const Request& request, const Peer& peer);
+  /// The one write path: head, body and file pump for either dispatch mode.
+  void emit(const std::shared_ptr<Conn>& conn, const Request& request,
+            Reply reply);
+  /// Writes plaintext bytes, encrypting first on TLS connections.
+  bool send(const std::shared_ptr<Conn>& conn,
+            std::span<const std::string_view> chunks);
   /// Non-blocking write; parks the unsent tail in the outbox and arms
   /// EPOLLOUT. Returns true when fully written.
   bool write_or_park(const std::shared_ptr<Conn>& conn,
                      std::span<const std::string_view> chunks);
-  void close_conn(const std::shared_ptr<Conn>& conn);  // reactor thread only
+  /// Drains the outbox, then the file pump. Returns true once both are
+  /// empty; false while waiting for EPOLLOUT or after closing on error.
+  bool flush(const std::shared_ptr<Conn>& conn);
+  /// Stops reads; the queue drains, then the connection closes.
+  void set_closing(Conn& conn);
+  /// Re-arms epoll: reads unless closing, EPOLLOUT when `write`.
+  void watch(Conn& conn, bool write);
+  void close_conn(const std::shared_ptr<Conn>& conn);
 
-  // Dispatch-policy state.
-  bool inline_eligible(const Conn::Pending& item) CLARENS_EXCLUDES(costs_mutex_);
-  double cost_of(const std::string& key) CLARENS_EXCLUDES(costs_mutex_);
-  void note_cost(const std::string& key, double us) CLARENS_EXCLUDES(costs_mutex_);
-
-  // Worker-side.
-  void worker_drain(std::shared_ptr<Conn> conn);
-  void worker_send(Conn& conn, const Request& request, Response response);
-  void request_close(const std::shared_ptr<Conn>& conn);
-
-  Response run_handler(const Request& request, const Peer& peer,
-                       const std::string& cost_key);
-  std::size_t live_connections();
-  void send_response(net::Stream& stream, net::TcpConnection* plain_tcp,
-                     const Request& request, Response response);
+  bool inline_eligible(const Conn::Pending& item);
+  void note_cost(const std::string& key, double us);
 
   ServerOptions options_;
   HandlerFn handler_;
@@ -208,16 +209,12 @@ class Server {
   util::Thread reactor_thread_;
   std::unique_ptr<util::ThreadPool> pool_;
 
-  util::Mutex conns_mutex_{util::LockLevel::kHttpServerConns};
-  std::unordered_map<int, std::shared_ptr<Conn>> conns_
-      CLARENS_GUARDED_BY(conns_mutex_);
-
-  // Per-method EWMA handler cost in microseconds, updated after every
-  // execution (inline and worker alike).
-  util::Mutex costs_mutex_{util::LockLevel::kHttpServerCosts};
-  std::unordered_map<std::string, double> costs_ CLARENS_GUARDED_BY(costs_mutex_);
-
-  // Inline budget accounting; reactor thread only.
+  // Reactor thread only (and stop(), after the reactor has joined).
+  std::unordered_map<int, std::shared_ptr<Conn>> conns_;
+  // Per-method EWMA handler cost in microseconds, recorded on the reactor
+  // after every run (inline, or posted back by a worker).
+  std::unordered_map<std::string, double> costs_;
+  // Inline budget accounting.
   std::uint64_t budget_tick_ = 0;
   double budget_spent_us_ = 0;
 };

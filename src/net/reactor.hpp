@@ -1,10 +1,10 @@
 // epoll reactor: readiness dispatch used by the HTTP server's accept/IO
 // loop and by the asynchronous benchmark client.
 //
-// The callback table is mutex-guarded so fds may be added/removed from
-// other threads (the HTTP worker pool schedules connection teardown onto
-// the reactor thread via post()). Callbacks themselves always run on the
-// thread calling poll()/run().
+// The callback table and task queue are mutex-guarded so other threads
+// may add/remove fds and post() work (the HTTP worker pool posts each
+// computed response back to the reactor thread, which writes it).
+// Callbacks themselves always run on the thread calling poll()/run().
 #pragma once
 
 #include <atomic>

@@ -11,7 +11,6 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
-#include <array>
 #include <cerrno>
 #include <csignal>
 #include <cstring>
@@ -38,11 +37,11 @@ sockaddr_in make_addr(const std::string& host, std::uint16_t port) {
   return addr;
 }
 
-// sendfile(2) and splice(2) take no MSG_NOSIGNAL flag. While one runs,
-// SIGPIPE is blocked on the calling thread; one raised because the peer
-// closed is taken off the thread's pending set before the mask is
-// restored, so the caller sees EPIPE instead of a fatal signal. A SIGPIPE
-// that was pending before is left alone.
+// sendfile(2) takes no MSG_NOSIGNAL flag. While it runs, SIGPIPE is
+// blocked on the calling thread; one raised because the peer closed is
+// taken off the thread's pending set before the mask is restored, so the
+// caller sees EPIPE instead of a fatal signal. A SIGPIPE that was pending
+// before is left alone.
 class SigpipeBlock {
  public:
   SigpipeBlock() {
@@ -191,13 +190,6 @@ void TcpConnection::write_all(std::span<const std::uint8_t> data) {
                        MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        // Non-blocking fd with a full socket buffer: wait for drainage so
-        // write_all keeps its full-span contract on worker-owned writes.
-        // clarens-lint: allow(reactor-blocking): worker-side blocking write; the reactor's inline path uses writev_some + outbox instead.
-        wait_writable(-1);
-        continue;
-      }
       throw_errno("write");
     }
     sent += static_cast<std::size_t>(n);
@@ -231,11 +223,6 @@ void TcpConnection::write_vec(std::span<const std::string_view> chunks) {
     ssize_t n = sendmsg_nosignal(fd_.get(), iov + first, count - first);
     if (n < 0) {
       if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        // clarens-lint: allow(reactor-blocking): worker-side blocking write; the reactor's inline path uses writev_some + outbox instead.
-        wait_writable(-1);
-        continue;
-      }
       throw_errno("writev");
     }
     sent += static_cast<std::size_t>(n);
@@ -256,19 +243,6 @@ void TcpConnection::write_vec(std::span<const std::string_view> chunks) {
     if (chunk.empty()) continue;
     if (consumed == std::size(iov)) write_all(chunk);
     else ++consumed;
-  }
-}
-
-// clarens-lint: allow(reactor-blocking): the blocking-wait primitive itself; callers on the reactor thread are forbidden, workers may block here.
-bool TcpConnection::wait_writable(int timeout_ms) {
-  pollfd pfd{fd_.get(), POLLOUT, 0};
-  for (;;) {
-    int rc = ::poll(&pfd, 1, timeout_ms);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      throw_errno("poll");
-    }
-    return rc > 0;
   }
 }
 
@@ -328,93 +302,20 @@ void TcpConnection::set_nodelay(bool on) {
   }
 }
 
-std::size_t TcpConnection::sendfile(int file_fd, std::int64_t offset,
-                                    std::size_t count) {
+std::optional<std::size_t> TcpConnection::sendfile_some(int file_fd,
+                                                        std::int64_t offset,
+                                                        std::size_t count) {
   SigpipeBlock no_sigpipe;
   off_t off = static_cast<off_t>(offset);
-  std::size_t total = 0;
-  while (total < count) {
-    ssize_t n = ::sendfile(fd_.get(), file_fd, &off, count - total);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        // clarens-lint: allow(reactor-blocking): file regions are streamed by workers; inline dispatch spills them before reaching here.
-        wait_writable(-1);
-        continue;
-      }
-      if ((errno == EINVAL || errno == ENOSYS) && total == 0) {
-        // Kernel refuses sendfile for this fd pair (e.g. the source is
-        // not mmap-able): degrade to splice through a pipe, still never
-        // copying the payload into userspace.
-        return splice_from(file_fd, offset, count);
-      }
-      throw_errno("sendfile");
-    }
-    if (n == 0) break;  // EOF on source file
-    total += static_cast<std::size_t>(n);
+  for (;;) {
+    ssize_t n = ::sendfile(fd_.get(), file_fd, &off, count);
+    if (n > 0 || (n == 0 && count == 0)) return static_cast<std::size_t>(n);
+    if (n == 0) throw SystemError("sendfile: file ends before the region");
+    if (errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return 0;
+    if (errno == EINVAL || errno == ENOSYS) return std::nullopt;
+    throw_errno("sendfile");
   }
-  return total;
-}
-
-std::size_t TcpConnection::splice_from(int file_fd, std::int64_t offset,
-                                       std::size_t count) {
-  int pipe_fds[2];
-  if (::pipe(pipe_fds) != 0) {
-    return copy_from(file_fd, offset, count);  // no pipes left: plain copy
-  }
-  Fd pipe_r(pipe_fds[0]);
-  Fd pipe_w(pipe_fds[1]);
-  loff_t off = static_cast<loff_t>(offset);
-  std::size_t total = 0;
-  while (total < count) {
-    ssize_t in = ::splice(file_fd, &off, pipe_w.get(), nullptr, count - total,
-                          SPLICE_F_MOVE);
-    if (in < 0) {
-      if (errno == EINTR) continue;
-      if ((errno == EINVAL || errno == ENOSYS) && total == 0) {
-        return copy_from(file_fd, offset, count);
-      }
-      throw_errno("splice(file->pipe)");
-    }
-    if (in == 0) break;  // EOF on source file
-    std::size_t in_pipe = static_cast<std::size_t>(in);
-    while (in_pipe > 0) {
-      ssize_t out = ::splice(pipe_r.get(), nullptr, fd_.get(), nullptr,
-                             in_pipe, SPLICE_F_MOVE);
-      if (out < 0) {
-        if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) {
-          // clarens-lint: allow(reactor-blocking): worker-side streaming path, like sendfile above.
-          wait_writable(-1);
-          continue;
-        }
-        throw_errno("splice(pipe->socket)");
-      }
-      in_pipe -= static_cast<std::size_t>(out);
-      total += static_cast<std::size_t>(out);
-    }
-  }
-  return total;
-}
-
-std::size_t TcpConnection::copy_from(int file_fd, std::int64_t offset,
-                                     std::size_t count) {
-  std::size_t total = 0;
-  std::array<std::uint8_t, 64 * 1024> buf;
-  while (total < count) {
-    std::size_t want = std::min(count - total, buf.size());
-    ssize_t n = ::pread(file_fd, buf.data(), want,
-                        static_cast<off_t>(offset + static_cast<std::int64_t>(total)));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw_errno("pread");
-    }
-    if (n == 0) break;  // EOF on source file
-    write_all(std::span<const std::uint8_t>(buf.data(),
-                                            static_cast<std::size_t>(n)));
-    total += static_cast<std::size_t>(n);
-  }
-  return total;
 }
 
 TcpListener TcpListener::listen(std::uint16_t port, const std::string& host,

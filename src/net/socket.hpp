@@ -43,7 +43,7 @@ class Stream {
   /// Throws clarens::SystemError on socket errors.
   virtual std::size_t read(std::span<std::uint8_t> out) = 0;
 
-  /// Blocking write of the full span.
+  /// Blocking write of the full span (blocking sockets only).
   virtual void write_all(std::span<const std::uint8_t> data) = 0;
 
   /// Scatter-gather write of all chunks, in order. The base implementation
@@ -93,34 +93,29 @@ class TcpConnection : public Stream {
   /// write: returns bytes accepted (possibly 0 on EAGAIN).
   std::size_t write_some(std::span<const std::uint8_t> data);
   /// Vectored non-blocking write: one writev(2) attempt over up to 8
-  /// chunks; returns bytes accepted (possibly 0 on EAGAIN). The reactor's
-  /// inline-dispatch path sends header + body with this and parks any
+  /// chunks; returns bytes accepted (possibly 0 on EAGAIN). The HTTP
+  /// server's reactor sends every response with this and parks any
   /// remainder in a per-connection outbox instead of blocking.
   std::size_t writev_some(std::span<const std::string_view> chunks);
 
   void set_nonblocking(bool on);
   void set_nodelay(bool on);
 
-  /// Block until the socket is writable (or `timeout_ms` elapses;
-  /// -1 = forever). Returns true when writable.
-  // clarens-lint: allow(reactor-blocking): declaration of the blessed worker-side wait primitive.
-  bool wait_writable(int timeout_ms);
-
   int fd() const { return fd_.get(); }
   bool valid() const { return fd_.valid(); }
 
-  /// Zero-copy transfer from a file descriptor using sendfile(2) — the
-  /// syscall the paper credits for low-CPU high-throughput file serving.
-  /// Falls back to splice(2) through a pipe, then to a read/write loop,
-  /// when the kernel refuses sendfile for this fd pair. Returns bytes
-  /// sent. Polls for writability on non-blocking sockets. Like every
-  /// write here, a peer that has closed yields SystemError, never SIGPIPE.
-  std::size_t sendfile(int file_fd, std::int64_t offset, std::size_t count);
+  /// One non-blocking sendfile(2) step: up to `count` bytes of `file_fd`
+  /// from `offset` go to the socket without passing through userspace —
+  /// the syscall the paper credits for low-CPU high-throughput file
+  /// serving. Returns bytes sent, 0 when the socket buffer is full, or
+  /// nullopt when the kernel refuses sendfile for this fd pair (the
+  /// caller copies instead). A file that ends before `offset + count`
+  /// throws SystemError; like every write here, a peer that has closed
+  /// yields SystemError, never SIGPIPE.
+  std::optional<std::size_t> sendfile_some(int file_fd, std::int64_t offset,
+                                           std::size_t count);
 
  private:
-  std::size_t splice_from(int file_fd, std::int64_t offset, std::size_t count);
-  std::size_t copy_from(int file_fd, std::int64_t offset, std::size_t count);
-
   Fd fd_;
 };
 

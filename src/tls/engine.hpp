@@ -15,12 +15,8 @@
 // server Finished with RSA key transport; the record layer is ChaCha20 +
 // HMAC-SHA256 with per-direction keys.
 //
-// Threading: the engine itself is not synchronized, but after the
-// handshake completes the read side (feed / read_plain, receive keys) and
-// the write side (encrypt, send keys) touch disjoint state, so a reactor
-// thread may decrypt incoming records while a worker thread encrypts a
-// response — the HTTP server's per-connection ownership discipline
-// (docs/CONCURRENCY.md) serializes each side.
+// Threading: the engine is not synchronized. The HTTP server touches each
+// connection's engine from its reactor thread only (docs/CONCURRENCY.md).
 #pragma once
 
 #include <cstdint>

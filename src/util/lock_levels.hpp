@@ -65,15 +65,10 @@
   X(kStorageMass, "storage.mass", 40, "disk-cache bookkeeping (leaf)")        \
   X(kDbStoreJournal, "db.store.journal", 50,                                  \
     "store commit queue + group-commit seqs (innermost db lock)")             \
-  X(kHttpServerConns, "http.server.conns", 60, "HTTP connection table")       \
-  X(kHttpConn, "http.conn", 61,                                               \
-    "per-connection ready queue, busy token and outbox")                      \
-  X(kHttpServerCosts, "http.server.costs", 62,                                \
-    "per-method inline-dispatch EWMA cost map")                               \
   X(kNetReactorTasks, "net.reactor.tasks", 70,                                \
     "reactor callback/task registry (queue flips only)")                      \
   X(kUtilThreadPool, "util.thread_pool", 75,                                  \
-    "worker-pool task queue (submit may run under http.conn)")                \
+    "worker-pool task queue")                                                 \
   X(kUtilFault, "util.fault", 80,                                             \
     "fault-injection arm table (hooks fire under arbitrary outer locks)")     \
   X(kUtilLogging, "util.logging", 90,                                         \

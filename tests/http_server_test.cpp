@@ -2,8 +2,13 @@
 // in http_test.cpp do not pin down: keep-alive pipelining (multiple
 // requests in one TCP segment, responses in order), requests arriving in
 // arbitrary partial pieces, Connection: close semantics, the non-blocking
-// 503 load-shed path, many concurrent keep-alive connections, and prompt
-// stop() with idle connections still open.
+// 503 load-shed path, many concurrent keep-alive connections, prompt
+// stop() with idle connections still open, clients that never read their
+// file bodies, and workers handing arena-backed bodies to the reactor.
+#include <fcntl.h>
+#include <poll.h>
+#include <unistd.h>
+
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -19,6 +24,7 @@
 #include "http/parser.hpp"
 #include "http/server.hpp"
 #include "net/socket.hpp"
+#include "test_fixtures.hpp"
 #include "util/sync.hpp"
 
 namespace clarens::http {
@@ -266,7 +272,6 @@ TEST(ServerInlineDispatch, PipelinedMixOfInlineAndSpilledStaysOrdered) {
 TEST(ServerInlineDispatch, MeasuredSlowMethodsStopBeingInlined) {
   ServerOptions options;
   options.dispatch.inline_dispatch = true;
-  options.dispatch.inline_cost_limit_us = 500.0;
   options.dispatch.cost_key = [](const Request&) { return "slow.method"; };
   Server server(std::move(options), [](const Request& request, const Peer&) {
     std::this_thread::sleep_for(std::chrono::milliseconds(3));
@@ -320,6 +325,95 @@ TEST(ServerStop, ReturnsPromptlyWithIdleConnectionOpen) {
   // The idle connection was torn down, not leaked to a detached thread.
   std::array<std::uint8_t, 64> buf;
   EXPECT_EQ(idle.read(buf), 0u);
+}
+
+// --- Workers compute, the reactor writes ---------------------------------
+
+TEST(ServerSlowClients, NonReadingClientsCannotStarveThePool) {
+  // A sparse 32 MiB file: far more than the socket buffers hold.
+  testing::TempDir tmp;
+  std::string path = tmp.path() + "/big.bin";
+  {
+    net::Fd out(::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0600));
+    ASSERT_TRUE(out.valid());
+    ASSERT_EQ(::ftruncate(out.get(), 32 << 20), 0);
+  }
+  // No cost key: every request spills to the worker pool.
+  Server server(ServerOptions{}, [&path](const Request& request, const Peer&) {
+    if (request.target != "/big") return Response::make(200, "echo:" + request.body);
+    Response response = Response::make(200, "", "application/octet-stream");
+    response.file = Response::FileRegion{path, 0, -1};
+    return response;
+  });
+  server.start();
+
+  // As many clients as there are cores (the pool has one worker fewer)
+  // ask for the file and never read it.
+  std::vector<net::TcpConnection> stalled;
+  unsigned clients = std::max(1u, std::thread::hardware_concurrency());
+  for (unsigned i = 0; i < clients; ++i) {
+    stalled.push_back(net::TcpConnection::connect("127.0.0.1", server.port()));
+    stalled.back().write_all(std::string_view("GET /big HTTP/1.1\r\n\r\n"));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+
+  net::TcpConnection fresh =
+      net::TcpConnection::connect("127.0.0.1", server.port());
+  fresh.write_all(post("fresh"));
+  pollfd pfd{fresh.fd(), POLLIN, 0};
+  ASSERT_EQ(::poll(&pfd, 1, 2000), 1) << "spilled request starved";
+  std::vector<Response> responses = read_responses(fresh, 1);
+  ASSERT_EQ(responses.size(), 1u);
+  EXPECT_EQ(responses[0].body, "echo:fresh");
+
+  auto begin = std::chrono::steady_clock::now();
+  server.stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - begin, std::chrono::seconds(2));
+}
+
+TEST(ServerHandoff, WorkerArenaBodiesReachTheirOwnRequests) {
+  // The handler answers from a thread-local arena, as core::ClarensServer
+  // does; a worker overwrites it on its next request, so a body must
+  // leave the worker owned. Fixed-size payloads keep the arena's storage
+  // in place, so a missing copy shows up as a wrong reply.
+  Server server(ServerOptions{}, [](const Request& request, const Peer&) {
+    thread_local std::string arena;
+    arena.assign(4096, '.');
+    arena.replace(0, request.body.size(), request.body);
+    Response response;
+    response.body_view = arena;
+    return response;
+  });
+  server.start();
+  constexpr int kClients = 8;
+  constexpr int kRequestsEach = 200;
+  std::atomic<int> mismatches{0};
+  std::vector<util::Thread> clients;
+  clients.reserve(kClients);
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      try {
+        net::TcpConnection conn =
+            net::TcpConnection::connect("127.0.0.1", server.port());
+        for (int i = 0; i < kRequestsEach; ++i) {
+          std::string body = "client " + std::to_string(c) + " request " +
+                             std::to_string(i);
+          conn.write_all(post(body));
+          std::vector<Response> responses = read_responses(conn, 1);
+          if (responses.size() != 1 ||
+              responses[0].body.compare(0, body.size(), body) != 0) {
+            ++mismatches;
+          }
+        }
+      } catch (...) {
+        ++mismatches;
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(server.requests_inlined(), 0u);
+  server.stop();
 }
 
 }  // namespace

@@ -1,13 +1,19 @@
 // Unit tests for sockets and the epoll reactor.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <array>
 #include <atomic>
+#include <fstream>
+#include <optional>
 #include <thread>
 
 #include "net/reactor.hpp"
 #include "net/socket.hpp"
 #include "util/error.hpp"
+#include "test_fixtures.hpp"
 #include "util/sync.hpp"
 
 namespace clarens::net {
@@ -144,33 +150,73 @@ TEST(Reactor, StopInterruptsRun) {
 }
 
 TEST(Sendfile, TransfersFileRegion) {
-  // Write a temp file, serve a slice of it via sendfile.
-  std::string path = "/tmp/clarens_sendfile_test.bin";
+  // Serve a slice of a file in non-blocking sendfile steps, each resuming
+  // at the offset where the previous one stopped.
+  testing::TempDir tmp;
+  std::string path = tmp.path() + "/region.bin";
   {
-    FILE* f = fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    fputs("0123456789abcdef", f);
-    fclose(f);
+    std::ofstream out(path, std::ios::binary);
+    out << "0123456789abcdef";
   }
   TcpListener listener = TcpListener::listen(0);
-  util::Thread server([&listener, &path] {
-    TcpConnection conn = listener.accept();
-    FILE* f = fopen(path.c_str(), "rb");
-    conn.sendfile(fileno(f), 4, 8);
-    fclose(f);
-  });
   TcpConnection client = TcpConnection::connect("127.0.0.1", listener.local_port());
+  TcpConnection served = listener.accept();
+  served.set_nonblocking(true);
+  Fd file(::open(path.c_str(), O_RDONLY));
+  ASSERT_TRUE(file.valid());
+
+  EXPECT_EQ(served.sendfile_some(file.get(), 4, 3), std::optional<std::size_t>(3));
+  EXPECT_EQ(served.sendfile_some(file.get(), 7, 5), std::optional<std::size_t>(5));
   std::string got;
   std::array<std::uint8_t, 64> buf;
-  for (;;) {
+  while (got.size() < 8) {
     std::size_t n = client.read(buf);
     if (n == 0) break;
-    got.append(buf.begin(), buf.begin() + n);
-    if (got.size() >= 8) break;
+    got.append(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(n));
   }
   EXPECT_EQ(got, "456789ab");
-  server.join();
-  remove(path.c_str());
+  // A region past the end of the file is an error, not a 0-byte step.
+  EXPECT_THROW(served.sendfile_some(file.get(), 16, 8), SystemError);
+}
+
+TEST(Sendfile, StepsReportFullSocketAndRefusedSources) {
+  testing::TempDir tmp;
+  std::string path = tmp.path() + "/sparse.bin";
+  constexpr std::size_t kSize = 64 * 1024 * 1024;
+  {
+    Fd out(::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0600));
+    ASSERT_TRUE(out.valid());
+    ASSERT_EQ(::ftruncate(out.get(), static_cast<off_t>(kSize)), 0);
+  }
+  TcpListener listener = TcpListener::listen(0);
+  TcpConnection client = TcpConnection::connect("127.0.0.1", listener.local_port());
+  TcpConnection served = listener.accept();
+  served.set_nonblocking(true);
+  Fd file(::open(path.c_str(), O_RDONLY));
+  ASSERT_TRUE(file.valid());
+
+  // The client never reads: once both socket buffers fill, a step sends
+  // nothing and returns instead of waiting.
+  std::size_t sent = 0;
+  std::optional<std::size_t> step;
+  while (sent < kSize) {
+    step = served.sendfile_some(file.get(), static_cast<std::int64_t>(sent),
+                                kSize - sent);
+    ASSERT_TRUE(step.has_value());
+    if (*step == 0) break;
+    sent += *step;
+  }
+  EXPECT_EQ(step, std::optional<std::size_t>(0));
+  EXPECT_LT(sent, kSize);
+
+  // A source the kernel will not sendfile from (EINVAL — here a
+  // directory, in practice procfs-style files): the caller is told to
+  // copy instead.
+  Fd dir(::open(tmp.path().c_str(), O_RDONLY | O_DIRECTORY));
+  ASSERT_TRUE(dir.valid());
+  TcpConnection other = TcpConnection::connect("127.0.0.1", listener.local_port());
+  TcpConnection other_served = listener.accept();
+  EXPECT_EQ(other_served.sendfile_some(dir.get(), 0, 1), std::nullopt);
 }
 
 }  // namespace

@@ -3,15 +3,21 @@
 // spliced straight from the file. That path must be invisible on the
 // wire — the HTTP response body must be byte-identical to the arena
 // (buffered) serialization — over plaintext, over TLS (where the region
-// is read and encrypted in bounded chunks), at offsets, across the
-// beyond-EOF clamp, and with the bypass disabled entirely.
+// is read and encrypted in bounded chunks), to a client that reads slowly,
+// at offsets, across the beyond-EOF clamp, and with the bypass disabled
+// entirely.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
+#include <algorithm>
 #include <array>
+#include <chrono>
 #include <cstdint>
 #include <fstream>
+#include <memory>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "client/client.hpp"
@@ -54,28 +60,58 @@ core::ClarensConfig file_config(const TestPki& pki, const std::string& dir,
   return config;
 }
 
-/// Raw binrpc POST over a plaintext socket; returns the HTTP response
-/// body bytes exactly as they arrived.
-std::string raw_binrpc_body(std::uint16_t port, const std::string& session,
-                            const rpc::Request& rpc_request) {
+/// Raw binrpc POST over `stream`; returns the HTTP response body bytes
+/// exactly as they arrived.
+std::string binrpc_body(net::Stream& stream, const std::string& session,
+                        const rpc::Request& rpc_request) {
   std::string body = rpc::binrpc::serialize_request(rpc_request);
   std::string wire = "POST /clarens HTTP/1.1\r\nX-Clarens-Session: " +
                      session +
                      "\r\nContent-Length: " + std::to_string(body.size()) +
                      "\r\n\r\n" + body;
-  net::TcpConnection conn = net::TcpConnection::connect("127.0.0.1", port);
-  conn.write_all(wire);
+  stream.write_all(wire);
   http::ResponseParser parser;
   std::array<std::uint8_t, 16384> buf;
   for (;;) {
     if (auto response = parser.next()) return std::move(response->body);
-    std::size_t n = conn.read(buf);
+    std::size_t n = stream.read(buf);
     if (n == 0) break;
     parser.feed(std::span<const std::uint8_t>(buf.data(), n));
   }
   ADD_FAILURE() << "no complete HTTP response";
   return {};
 }
+
+/// The same over a fresh plaintext socket.
+std::string raw_binrpc_body(std::uint16_t port, const std::string& session,
+                            const rpc::Request& rpc_request) {
+  net::TcpConnection conn = net::TcpConnection::connect("127.0.0.1", port);
+  return binrpc_body(conn, session, rpc_request);
+}
+
+/// A transport with a small receive buffer that sleeps before every small
+/// read, so the server's socket buffer fills and its file pump must wait
+/// for EPOLLOUT.
+class SlowReader final : public net::Stream {
+ public:
+  explicit SlowReader(net::TcpConnection tcp) : tcp_(std::move(tcp)) {
+    int bytes = 64 * 1024;
+    ::setsockopt(tcp_.fd(), SOL_SOCKET, SO_RCVBUF, &bytes, sizeof(bytes));
+  }
+
+  std::size_t read(std::span<std::uint8_t> out) override {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    return tcp_.read(out.first(std::min<std::size_t>(out.size(), 32 * 1024)));
+  }
+  using net::Stream::write_all;
+  void write_all(std::span<const std::uint8_t> data) override {
+    tcp_.write_all(data);
+  }
+  void close() override { tcp_.close(); }
+
+ private:
+  net::TcpConnection tcp_;
+};
 
 rpc::Request read_request(const std::string& path, std::int64_t offset,
                           std::int64_t length) {
@@ -149,6 +185,8 @@ TEST_F(SendfileResponse, WireBytesIdenticalToArenaSerialization) {
 
 TEST_F(SendfileResponse, ClientReadsMatchOverPlaintextAndTls) {
   const TestPki& pki = TestPki::instance();
+  const std::string big = patterned_bytes(8 * 1024 * 1024);
+  std::ofstream(dir() + "/big.bin", std::ios::binary) << big;
   for (bool use_tls : {false, true}) {
     core::ClarensConfig config = file_config(pki, dir(), 1);
     config.use_tls = use_tls;
@@ -170,6 +208,27 @@ TEST_F(SendfileResponse, ClientReadsMatchOverPlaintextAndTls) {
     ASSERT_EQ(bytes.size(), 128u * 1024);
     EXPECT_EQ(std::string(bytes.begin(), bytes.end()),
               content_.substr(8192, 128 * 1024));
+
+    // An 8 MiB region (the file.read cap) to a client that sleeps between
+    // reads.
+    std::unique_ptr<net::Stream> stream = std::make_unique<SlowReader>(
+        net::TcpConnection::connect("127.0.0.1", server.port()));
+    if (use_tls) {
+      tls::TlsConfig tls;
+      tls.credential = pki.alice;
+      tls.trust = &pki.trust;
+      stream = tls::SecureChannel::connect(std::move(stream), tls);
+    }
+    std::string session =
+        server.direct_login(pki.alice.certificate.subject().str()).id;
+    std::string body = binrpc_body(
+        *stream, session,
+        read_request("/data/big.bin", 0, static_cast<std::int64_t>(big.size())));
+    rpc::Response parsed = rpc::binrpc::parse_response(body);
+    ASSERT_FALSE(parsed.is_fault) << "tls=" << use_tls;
+    const auto& slow = parsed.result.as_binary();
+    EXPECT_TRUE(std::string(slow.begin(), slow.end()) == big)
+        << "tls=" << use_tls;
     server.stop();
   }
 }

@@ -4,11 +4,16 @@
 // session persistence across restart, and the shell/proxy flows.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <filesystem>
 #include <fstream>
+#include <optional>
+#include <span>
 
 #include "client/client.hpp"
 #include "core/server.hpp"
+#include "http/parser.hpp"
+#include "net/socket.hpp"
 #include "rpc/fault.hpp"
 #include "test_fixtures.hpp"
 #include "util/error.hpp"
@@ -224,6 +229,66 @@ TEST(ServerIntegration, FileServiceOverRpcAndGet) {
                            {rpc::Value("/data"), rpc::Value("note")});
   ASSERT_EQ(found.as_array().size(), 1u);
   EXPECT_EQ(found.as_array()[0].as_string(), "/data/note.txt");
+  server.stop();
+}
+
+TEST(ServerIntegration, FileGetRefusesBadRangesAndKeepsTheConnection) {
+  const TestPki& pki = TestPki::instance();
+  TempDir tmp;
+  std::string data_dir = tmp.sub("files");
+  const std::string content = "0123456789abcdef";
+  std::ofstream(data_dir + "/range.bin", std::ios::binary) << content;
+
+  core::ClarensConfig config = base_config(pki);
+  config.file_roots = {{"/data", data_dir}};
+  core::FileAcl facl;
+  facl.read = allow_anyone();
+  config.initial_file_acls = {{"/data", facl}};
+  core::ClarensServer server(std::move(config));
+  server.start();
+  std::string session =
+      server.direct_login(pki.alice.certificate.subject().str()).id;
+
+  // Every request rides one keep-alive connection.
+  net::TcpConnection conn =
+      net::TcpConnection::connect("127.0.0.1", server.port());
+  http::ResponseParser parser;
+  auto get = [&](const std::string& query) {
+    conn.write_all("GET /data/range.bin" + query +
+                   " HTTP/1.1\r\nX-Clarens-Session: " + session + "\r\n\r\n");
+    std::array<std::uint8_t, 4096> buf;
+    for (;;) {
+      if (std::optional<http::Response> response = parser.next()) {
+        return *response;
+      }
+      std::size_t n = conn.read(buf);
+      if (n == 0) throw SystemError("connection closed");
+      parser.feed(std::span<const std::uint8_t>(buf.data(), n));
+    }
+  };
+
+  struct Case {
+    std::string query;
+    int status;
+    std::string body;
+  };
+  const Case cases[] = {
+      {"?offset=-100", 400, ""},
+      // offset + length overflows int64; the clamp must not.
+      {"?offset=1&length=9223372036854775807", 200, content.substr(1)},
+      {"?offset=abc", 400, ""},
+      {"?offset=2&length=-1", 400, ""},
+  };
+  for (const Case& c : cases) {
+    http::Response response = get(c.query);
+    EXPECT_EQ(response.status, c.status) << c.query;
+    if (c.status == 200) {
+      EXPECT_EQ(response.body, c.body) << c.query;
+    }
+    http::Response valid = get("?offset=4&length=8");
+    EXPECT_EQ(valid.status, 200) << "after " << c.query;
+    EXPECT_EQ(valid.body, "456789ab") << "after " << c.query;
+  }
   server.stop();
 }
 
