@@ -31,6 +31,9 @@ constexpr double kInlineBudgetUs = 5000.0;
 /// File bytes per pread on the copy path (TLS, or a kernel that refuses
 /// sendfile): the outbox never holds more than one chunk of them.
 constexpr std::size_t kFileChunk = 64 * 1024;
+/// File bytes the thread that opens a region asks the kernel to read ahead;
+/// bounds how much page cache one response can claim up front.
+constexpr std::size_t kReadaheadBytes = 16 * 1024 * 1024;
 /// File bytes one flush may send to a reader that keeps pace before the
 /// reactor turns to its other connections; EPOLLOUT resumes the pump on
 /// the next tick. A slower reader fills the socket buffer first.
@@ -184,12 +187,17 @@ void Server::on_readable(const std::shared_ptr<Conn>& conn) {
         } catch (const Error& e) {
           CLARENS_LOG(Debug) << "TLS failure: " << e.what();
           // Best-effort alert, unless response bytes are queued ahead of it.
-          if (flight.readable() != 0 && conn->outbox.readable() == 0 &&
-              !conn->pump) {
-            conn->tcp.write_some(flight.peek());
+          try {
+            if (flight.readable() != 0 && conn->outbox.readable() == 0 &&
+                !conn->pump) {
+              conn->tcp.write_some(flight.peek());
+            }
+          } catch (const SystemError&) {
           }
-          eof = true;
-          break;
+          // A failed engine can seal no further record, so nothing still
+          // queued, computing or pumping could reach the peer: close now.
+          close_conn(conn);
+          return;
         }
         if (flight.readable() != 0) {
           std::array<std::string_view, 1> out = {flight.peek_view()};
@@ -321,6 +329,15 @@ Server::Reply Server::run_handler(const Request& request, const Peer& peer) {
     file.offset = region.offset;
     file.length = static_cast<std::size_t>(region.length);
   }
+  if (file.length != 0) {
+    // Start the disk read here, off the reactor, so the pump's sendfile or
+    // pread finds the range cached or already in flight. Sequential advice
+    // widens the kernel's own readahead past the first window.
+    ::posix_fadvise(fd.get(), file.offset, 0, POSIX_FADV_SEQUENTIAL);
+    ::posix_fadvise(fd.get(), file.offset,
+                    static_cast<off_t>(std::min(file.length, kReadaheadBytes)),
+                    POSIX_FADV_WILLNEED);
+  }
   file.fd = std::move(fd);
   file.tail = std::move(region.tail);
   response.body = std::move(region.head);
@@ -359,6 +376,9 @@ void Server::emit(const std::shared_ptr<Conn>& conn, const Request& request,
 bool Server::send(const std::shared_ptr<Conn>& conn,
                   std::span<const std::string_view> chunks) {
   if (!conn->engine) return write_or_park(conn, chunks);
+  if (!conn->engine->handshake_done()) {
+    throw SystemError("TLS channel is not established");
+  }
   thread_local util::Buffer wire;
   wire.clear();
   conn->engine->encrypt(chunks, wire);

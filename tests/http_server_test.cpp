@@ -4,9 +4,11 @@
 // arbitrary partial pieces, Connection: close semantics, the non-blocking
 // 503 load-shed path, many concurrent keep-alive connections, prompt
 // stop() with idle connections still open, clients that never read their
-// file bodies, and workers handing arena-backed bodies to the reactor.
+// file bodies, workers handing arena-backed bodies to the reactor, and a
+// TLS peer whose channel fails while its response is still on the way.
 #include <fcntl.h>
 #include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <array>
@@ -25,6 +27,7 @@
 #include "http/server.hpp"
 #include "net/socket.hpp"
 #include "test_fixtures.hpp"
+#include "tls/channel.hpp"
 #include "util/sync.hpp"
 
 namespace clarens::http {
@@ -414,6 +417,121 @@ TEST(ServerHandoff, WorkerArenaBodiesReachTheirOwnRequests) {
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_EQ(server.requests_inlined(), 0u);
   server.stop();
+}
+
+// --- A failed TLS channel closes at once ----------------------------------
+
+/// A TLS server whose handler streams a sparse 64 MiB file for /big (more
+/// than loopback socket buffers hold, so the pump is still running), takes
+/// 300 ms for /slow, and echoes anything else.
+class ServerTlsFailure : public ::testing::Test {
+ protected:
+  ServerTlsFailure() : path_(tmp_.path() + "/big.bin") {
+    net::Fd out(::open(path_.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0600));
+    EXPECT_TRUE(out.valid());
+    EXPECT_EQ(::ftruncate(out.get(), 64 << 20), 0);
+    const testing::TestPki& pki = testing::TestPki::instance();
+    ServerOptions options;
+    tls::TlsConfig tls;
+    tls.credential = pki.server;
+    tls.trust = &pki.trust;
+    options.tls = std::move(tls);
+    server_ = std::make_unique<Server>(
+        std::move(options), [this](const Request& request, const Peer&) {
+          if (request.target == "/slow") {
+            std::this_thread::sleep_for(std::chrono::milliseconds(300));
+          }
+          if (request.target != "/big") {
+            return Response::make(200, "echo:" + request.target);
+          }
+          Response response = Response::make(200, "", "application/octet-stream");
+          response.file = Response::FileRegion{path_, 0, -1};
+          return response;
+        });
+    server_->start();
+  }
+
+  /// A TLS client; `raw_fd` receives the socket under it.
+  std::unique_ptr<tls::SecureChannel> connect(int* raw_fd = nullptr) {
+    auto tcp = std::make_unique<net::TcpConnection>(
+        net::TcpConnection::connect("127.0.0.1", server_->port()));
+    int bytes = 64 * 1024;
+    ::setsockopt(tcp->fd(), SOL_SOCKET, SO_RCVBUF, &bytes, sizeof(bytes));
+    if (raw_fd) *raw_fd = tcp->fd();
+    tls::TlsConfig tls;
+    tls.trust = &testing::TestPki::instance().trust;
+    return tls::SecureChannel::connect(std::move(tcp), tls);
+  }
+
+  /// Writes a record the server's engine must reject straight onto the
+  /// socket, then reads until the server closes it.
+  static void corrupt_and_drain(int fd) {
+    std::string garbage = std::string("\x02\x00\x00\x00\x20", 5) +
+                          std::string(32, '\xab');
+    ASSERT_EQ(::send(fd, garbage.data(), garbage.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(garbage.size()));
+    std::array<char, 64 * 1024> buf;
+    auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    for (;;) {
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+          << "server kept the failed channel open";
+      pollfd pfd{fd, POLLIN, 0};
+      if (::poll(&pfd, 1, 100) != 1) continue;
+      if (::recv(fd, buf.data(), buf.size(), 0) <= 0) return;  // EOF or reset
+    }
+  }
+
+  /// Another client still gets answers.
+  void expect_serving() {
+    std::unique_ptr<tls::SecureChannel> other = connect();
+    other->write_all(std::string_view("GET /ping HTTP/1.1\r\n\r\n"));
+    ResponseParser parser;
+    std::array<std::uint8_t, 8192> buf;
+    for (;;) {
+      if (auto response = parser.next()) {
+        EXPECT_EQ(response->body, "echo:/ping");
+        return;
+      }
+      std::size_t n = other->read(buf);
+      ASSERT_NE(n, 0u) << "no response";
+      parser.feed(std::span<const std::uint8_t>(buf.data(), n));
+    }
+  }
+
+  testing::TempDir tmp_;
+  std::string path_;
+  std::unique_ptr<Server> server_;
+};
+
+TEST_F(ServerTlsFailure, CorruptRecordMidFileBodyClosesOnlyThatConnection) {
+  int fd = -1;
+  std::unique_ptr<tls::SecureChannel> client = connect(&fd);
+  client->write_all(std::string_view("GET /big HTTP/1.1\r\n\r\n"));
+  // Take part of the body so the file pump is mid-transfer.
+  std::array<std::uint8_t, 16 * 1024> buf;
+  std::size_t got = 0;
+  while (got < 256 * 1024) {
+    std::size_t n = client->read(buf);
+    ASSERT_NE(n, 0u);
+    got += n;
+  }
+  corrupt_and_drain(fd);
+  expect_serving();
+  server_->stop();
+}
+
+TEST_F(ServerTlsFailure, CorruptRecordWhileSpilledRequestsWaitClosesOnlyThatConnection) {
+  int fd = -1;
+  std::unique_ptr<tls::SecureChannel> client = connect(&fd);
+  // One request computing on a worker, one queued behind it.
+  client->write_all(std::string_view(
+      "GET /slow HTTP/1.1\r\n\r\nGET /next HTTP/1.1\r\n\r\n"));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  corrupt_and_drain(fd);
+  // The worker's reply lands on a connection that is already gone.
+  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  expect_serving();
+  server_->stop();
 }
 
 }  // namespace
