@@ -4,12 +4,15 @@
 // strings) and on a struct-heavy file.ls-style payload.
 #include <benchmark/benchmark.h>
 
+#include <random>
+
 #include "http/message.hpp"
 #include "rpc/jsonrpc.hpp"
 #include "rpc/protocol.hpp"
 #include "rpc/soap.hpp"
 #include "rpc/xmlrpc.hpp"
 #include "util/buffer.hpp"
+#include "util/hex.hpp"
 
 using namespace clarens;
 
@@ -143,14 +146,21 @@ static void BM_HeaderLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_HeaderLookup);
 
+// File contents as the federation moves them: seeded random bytes. A
+// regular pattern would let the branch predictor learn the decoder's
+// per-character branches and hide their cost.
+static std::vector<std::uint8_t> random_payload(std::size_t n) {
+  std::mt19937_64 rng(131);
+  std::vector<std::uint8_t> blob(n);
+  for (auto& b : blob) b = static_cast<std::uint8_t>(rng());
+  return blob;
+}
+
 // Binary payload cost: base64 dominates XML/JSON transports for
 // file.read responses.
 static void BM_BinaryPayload(benchmark::State& state) {
   auto protocol = static_cast<rpc::Protocol>(state.range(0));
-  std::vector<std::uint8_t> blob(64 * 1024);
-  for (std::size_t i = 0; i < blob.size(); ++i) {
-    blob[i] = static_cast<std::uint8_t>(i * 131);
-  }
+  std::vector<std::uint8_t> blob = random_payload(64 * 1024);
   rpc::Response response = rpc::Response::success(rpc::Value(blob));
   for (auto _ : state) {
     std::string wire = rpc::serialize_response(protocol, response);
@@ -161,3 +171,31 @@ static void BM_BinaryPayload(benchmark::State& state) {
   state.SetLabel(rpc::to_string(protocol));
 }
 BENCHMARK(BM_BinaryPayload)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
+
+// The base64 kernel alone, on one file.read chunk (8 KiB, fed_files'
+// size) and on a 64 KiB value.
+static void BM_Base64Encode(benchmark::State& state) {
+  std::vector<std::uint8_t> blob =
+      random_payload(static_cast<std::size_t>(state.range(0)));
+  util::Buffer out;
+  for (auto _ : state) {
+    out.clear();
+    util::base64_encode_append(out, blob);
+    benchmark::DoNotOptimize(out.peek().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Base64Encode)->Arg(8 * 1024)->Arg(64 * 1024);
+
+static void BM_Base64Decode(benchmark::State& state) {
+  std::string text = util::base64_encode(
+      random_payload(static_cast<std::size_t>(state.range(0))));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(util::base64_decode(text));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Base64Decode)->Arg(8 * 1024)->Arg(64 * 1024);

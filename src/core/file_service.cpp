@@ -11,7 +11,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 
 #include "crypto/md5.hpp"
 #include "net/socket.hpp"
@@ -94,6 +93,15 @@ bool write_fully(int fd, std::span<const std::uint8_t> data) {
     data = data.subspan(static_cast<std::size_t>(n));
   }
   return true;
+}
+
+// Closes `fd` after a write that reported `ok`. Returns 0, or the errno
+// of the first failure: the write's, else the close's (a deferred write
+// error can surface only there).
+int close_after_write(net::Fd fd, bool ok) {
+  int error = ok ? 0 : (errno != 0 ? errno : EIO);
+  if (::close(fd.release()) != 0 && error == 0) error = errno;
+  return error;
 }
 
 }  // namespace
@@ -183,18 +191,30 @@ std::vector<std::uint8_t> FileService::read(const std::string& path,
                      std::to_string(max_read_chunk_) + " bytes");
   }
   std::string real = resolve(path);
-  std::ifstream in(real, std::ios::binary);
-  if (!in) throw NotFoundError("cannot open file: '" + path + "'");
+  // Only a regular file has bytes to read; O_NONBLOCK keeps a FIFO from
+  // stalling the open before fstat turns it away.
+  net::Fd fd(::open(real.c_str(), O_RDONLY | O_NONBLOCK | O_CLOEXEC));
+  struct stat st{};
+  if (!fd.valid() || ::fstat(fd.get(), &st) != 0 || !S_ISREG(st.st_mode)) {
+    throw NotFoundError("cannot open file: '" + path + "'");
+  }
   // The length arrives from the wire; size the buffer by what the file
   // can actually yield, never by the request alone.
-  in.seekg(0, std::ios::end);
-  std::int64_t file_size = static_cast<std::int64_t>(in.tellg());
-  std::int64_t remaining = file_size > offset ? file_size - offset : 0;
-  std::int64_t to_read = std::min(length, remaining);
-  in.seekg(offset);
-  std::vector<std::uint8_t> out(static_cast<std::size_t>(to_read));
-  in.read(reinterpret_cast<char*>(out.data()), to_read);
-  out.resize(static_cast<std::size_t>(in.gcount()));
+  std::int64_t remaining = st.st_size > offset ? st.st_size - offset : 0;
+  std::vector<std::uint8_t> out(
+      static_cast<std::size_t>(std::min(length, remaining)));
+  std::size_t got = 0;
+  while (got < out.size()) {
+    off_t at = static_cast<off_t>(offset) + static_cast<off_t>(got);
+    ssize_t n = ::pread(fd.get(), out.data() + got, out.size() - got, at);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) {
+      throw SystemError("read failed: '" + path + "': " + std::strerror(errno));
+    }
+    if (n == 0) break;  // the file shrank since fstat
+    got += static_cast<std::size_t>(n);
+  }
+  out.resize(got);
   return out;
 }
 
@@ -342,12 +362,7 @@ void FileService::write(const std::string& path,
     if (!fd.valid()) throw SystemError("cannot write file: '" + path + "'");
     bool ok = (!exists || ::fchmod(fd.get(), target.st_mode & 07777) == 0) &&
               write_fully(fd.get(), data);
-    int error = errno;
-    if (::close(fd.release()) != 0 && ok) {
-      ok = false;
-      error = errno;
-    }
-    if (!ok) {
+    if (int error = close_after_write(std::move(fd), ok)) {
       ::unlink(temp.c_str());
       throw SystemError("write failed: '" + path + "': " + std::strerror(error));
     }
@@ -379,10 +394,13 @@ void FileService::append(const std::string& path,
   if (CLARENS_FAULT("file.write.eio", real)) {
     throw SystemError("injected I/O error appending to '" + path + "'");
   }
-  std::ofstream out(real, std::ios::binary | std::ios::app);
-  if (!out) throw SystemError("cannot append to file: '" + path + "'");
-  out.write(reinterpret_cast<const char*>(data.data()),
-            static_cast<std::streamsize>(data.size()));
+  net::Fd fd(
+      ::open(real.c_str(), O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC, 0666));
+  if (!fd.valid()) throw SystemError("cannot append to file: '" + path + "'");
+  bool ok = write_fully(fd.get(), data);
+  if (int error = close_after_write(std::move(fd), ok)) {
+    throw SystemError("append failed: '" + path + "': " + std::strerror(error));
+  }
 }
 
 void FileService::mkdir(const std::string& path,

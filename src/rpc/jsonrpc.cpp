@@ -4,6 +4,7 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
+#include <optional>
 
 #include "rpc/fault.hpp"
 #include "util/clock.hpp"
@@ -297,6 +298,9 @@ class JsonParser {
       std::string key = parse_string();
       skip_space();
       expect(":");
+      if (out.size() == 0 && key == "$base64") {
+        if (std::optional<Value> blob = parse_base64_member()) return *blob;
+      }
       out.set(key, parse_value());
       skip_space();
       if (eof()) fail("unterminated object");
@@ -307,6 +311,33 @@ class JsonParser {
       }
       if (c != ',') fail("expected ',' or '}'");
     }
+  }
+
+  // The rest of {"$base64": "..."} when its string has no escapes: decode
+  // straight from the input slice, with no string copy, and close the
+  // object. Returns nullopt and consumes nothing otherwise (an escaped
+  // string, since encoders may write '/' as "\/", a value of another
+  // type, or a second member); the general path and detag handle those.
+  std::optional<Value> parse_base64_member() {
+    std::size_t start = pos_;
+    skip_space();
+    if (!eof() && peek() == '"') {
+      // Two memchr scans: the closing quote, then no backslash before it.
+      std::size_t end = text_.find('"', pos_ + 1);
+      std::string_view b64 = text_.substr(pos_ + 1, end - pos_ - 1);
+      if (end != std::string_view::npos &&
+          b64.find('\\') == std::string_view::npos) {
+        pos_ = end + 1;
+        skip_space();
+        if (!eof() && peek() == '}') {
+          ++pos_;
+          --depth_;
+          return Value(util::base64_decode(b64));
+        }
+      }
+    }
+    pos_ = start;
+    return std::nullopt;
   }
 
   // Recognize the {"$base64": ...} / {"$datetime": ...} tagging convention.

@@ -1,6 +1,14 @@
-// Hex and base64 codecs. Base64 is needed for XML-RPC <base64> values and
-// for storing binary certificate material in text stores; hex is the wire
-// format for digests (file.md5) and identifiers (session keys).
+// Hex and base64 codecs. Base64 carries every binary RPC value on the
+// text protocols (XML-RPC/SOAP <base64>, JSON {"$base64": ...}), so each
+// file.read answer and file.write request, and it stores binary
+// certificate material in text stores; hex is the wire format for digests
+// (file.md5) and identifiers (session keys).
+//
+// The codecs are table-driven and branch-free on the common path: decode
+// turns each group of four alphabet characters into three bytes with one
+// table lookup per character and one validity check per group, and drops
+// to a per-character loop only for whitespace, padding and invalid bytes;
+// encode writes two characters per 12 bits from one table.
 #pragma once
 
 #include <cstdint>

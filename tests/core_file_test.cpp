@@ -8,15 +8,18 @@
 
 #include <algorithm>
 #include <atomic>
+#include <climits>
 #include <csignal>
 #include <fstream>
 #include <set>
 #include <vector>
 
+#include "core/bindings/bindings.hpp"
 #include "core/file_service.hpp"
 #include "core/vo.hpp"
 #include "crypto/md5.hpp"
 #include "db/store.hpp"
+#include "rpc/registry.hpp"
 #include "test_fixtures.hpp"
 #include "util/error.hpp"
 #include "util/sync.hpp"
@@ -381,6 +384,48 @@ TEST_F(FileFixture, FailedWriteThrowsAndKeepsTheOldFile) {
               std::string::npos)
         << entry.path();
   }
+}
+
+TEST_F(FileFixture, ReadRefusesNonFilesAndStopsAtEndOfFile) {
+  // A directory has no bytes to give: the read fails as a missing file
+  // does, rather than answering with an empty buffer.
+  EXPECT_THROW(files.read("/data/sub", 0, 4096, alice()), NotFoundError);
+  EXPECT_THROW(files.read("/data", 0, 4096, alice()), NotFoundError);
+  EXPECT_THROW(files.read("/data/ghost", 0, 10, alice()), NotFoundError);
+  // At and past the end of the file: no bytes, no error.
+  EXPECT_TRUE(files.read("/data/hello.txt", 11, 10, alice()).empty());
+  EXPECT_TRUE(files.read("/data/hello.txt", 1 << 30, 10, alice()).empty());
+  EXPECT_TRUE(
+      files.read("/data/hello.txt", INT64_MAX, 10, alice()).empty());
+  // A range in the middle, and one cut short by the end of the file.
+  auto mid = files.read("/data/hello.txt", 2, 3, alice());
+  EXPECT_EQ(std::string(mid.begin(), mid.end()), "llo");
+  auto tail = files.read("/data/sub/nested.bin", 990, 4096, alice());
+  EXPECT_EQ(std::string(tail.begin(), tail.end()), std::string(10, 'x'));
+}
+
+TEST_F(FileFixture, AppendToAFullDiskThrows) {
+  // /dev/full fails every write with ENOSPC; a symlink puts it under
+  // the root.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  std::filesystem::create_symlink("/dev/full", dir + "/full");
+  EXPECT_THROW(files.append("/data/full", span_of("lost"), alice()),
+               SystemError);
+
+  // The same through the file.append method binding.
+  rpc::Registry registry;
+  bindings::register_file_methods(files, registry);
+  rpc::CallContext context;
+  context.identity = kAliceStr;
+  EXPECT_THROW(registry.dispatch("file.append", context,
+                                 {rpc::Value("/data/full"), rpc::Value("lost")}),
+               SystemError);
+  EXPECT_TRUE(registry
+                  .dispatch("file.append", context,
+                            {rpc::Value("/data/log.txt"), rpc::Value("kept")})
+                  .as_bool());
+  auto back = files.read("/data/log.txt", 0, 100, alice());
+  EXPECT_EQ(std::string(back.begin(), back.end()), "kept");
 }
 
 TEST_F(FileFixture, PathEscapeRefused) {

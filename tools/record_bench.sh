@@ -12,6 +12,9 @@
 #   fig4_inline.json       end-to-end sweep, adaptive inline dispatch ON
 #   fig4_inline_off.json   ablation: every request takes the worker handoff
 #   wire.json              per-protocol round-trip cost
+#   wire_codecs.txt        microbench ns/op: 64 KiB binary payload per
+#                          protocol and the base64 kernel
+#                          (binary_payload_64k_roundtrip_ns)
 #   store.json             storage-engine churn rows (BENCH_store.json)
 #   federation.json        cluster redirect tax + replication overhead
 #                          and fsck scrub throughput (BENCH_federation.json)
@@ -43,6 +46,13 @@ echo "== fig4 end-to-end: inline dispatch off (ablation) =="
 echo
 echo "== wire protocols =="
 "$BUILD/bench/bench_wire_protocols" --json "$OUT/wire.json"
+
+echo
+echo "== wire codecs: binary payloads and the base64 kernel =="
+"$BUILD/bench/bench_protocol_serialization" \
+  --benchmark_filter='BM_BinaryPayload|BM_Base64' \
+  --benchmark_repetitions=10 --benchmark_report_aggregates_only=true \
+  | tee "$OUT/wire_codecs.txt"
 
 echo
 echo "== storage engine: multi-writer session churn =="
