@@ -54,7 +54,7 @@ const char* to_string(NodeRole role) {
 }
 
 ClarensServer::ClarensServer(ClarensConfig config)
-    : config_(std::move(config)) {
+    : config_(std::move(config)), ticket_key_(config_.node_ticket_secret) {
   if (config_.data_dir.empty()) {
     store_ = std::make_unique<db::Store>();
   } else {
@@ -286,7 +286,7 @@ federation::NodeTicket ClarensServer::check_node_ticket(
     throw AuthError("this server does not accept node tickets");
   }
   std::optional<federation::NodeTicket> ticket = federation::NodeTicket::verify(
-      config_.node_ticket_secret, token, util::unix_now());
+      ticket_key_, token, util::unix_now());
   if (!ticket) throw AuthError("invalid or expired node ticket");
   return *ticket;
 }
@@ -309,7 +309,7 @@ void ClarensServer::notify_commit(const rpc::CallContext& context,
     ticket.scope = path;
     ticket.write = false;
     ticket.expires = util::unix_now() + 60;
-    std::string token = ticket.mint(config_.node_ticket_secret);
+    std::string token = ticket.mint(ticket_key_);
     // Reports of one path are ordered by commit_reports_: the last one
     // the head receives matches the file even when two writers race.
     commit_reports_.report(

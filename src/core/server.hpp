@@ -268,6 +268,7 @@ class ClarensServer {
   void notify_commit(const rpc::CallContext& context, const std::string& path);
 
   ClarensConfig config_;
+  const crypto::HmacSha256 ticket_key_;  // config_.node_ticket_secret, keyed once
   std::unique_ptr<db::Store> store_;
   rpc::Registry registry_;
   std::unique_ptr<SessionManager> sessions_;

@@ -60,11 +60,14 @@ std::vector<std::uint8_t> BigInt::to_bytes() const {
 
 BigInt BigInt::from_hex(std::string_view hex) {
   BigInt out;
-  for (char c : hex) {
-    int d = hex_digit(c);
+  out.limbs_.assign((hex.size() + 7) / 8, 0);
+  for (std::size_t i = 0; i < hex.size(); ++i) {
+    // Digit i from the end of the string is nibble i of the integer.
+    int d = hex_digit(hex[hex.size() - 1 - i]);
     if (d < 0) throw ParseError("invalid hex digit in bigint");
-    out = (out << 4) + BigInt(static_cast<std::uint64_t>(d));
+    out.limbs_[i / 8] |= static_cast<std::uint32_t>(d) << (4 * (i % 8));
   }
+  out.trim();
   return out;
 }
 
@@ -328,76 +331,106 @@ namespace {
 constexpr std::size_t kPlainExponentBits = 64;
 constexpr std::size_t kWindowBits = 4;
 
-// Montgomery arithmetic modulo an odd n with R = 2^(32*k), k = limbs of n.
-// Built once per modexp. mul() works in scratch buffers the context owns,
-// so an exponentiation allocates nothing per multiply.
+// Montgomery arithmetic runs on 64-bit limbs with 128-bit products, twice
+// the width of BigInt's storage limbs.
+using Limb = std::uint64_t;
+using Wide = unsigned __int128;
+
+// out = a * b * R^{-1} mod n (CIOS), R = 2^(64k). a, b and out are k
+// limbs with a, b < n, and out may alias a or b; scratch holds k + 2
+// limbs. kFixedLimbs > 0 fixes k at compile time, so the inner loops
+// unroll completely and the accumulator can live in registers;
+// kFixedLimbs == 0 is the generic loop over any k. Nothing branches on
+// the values: the reduction runs for every product and the final
+// subtraction is kept or dropped by mask.
+template <std::size_t kFixedLimbs>
+void mont_mul(const Limb* a, const Limb* b, const Limb* n, Limb n0inv,
+              std::size_t k_any, Limb* scratch, Limb* out) {
+  const std::size_t k = kFixedLimbs ? kFixedLimbs : k_any;
+  Limb local[kFixedLimbs + 2];
+  Limb* t = kFixedLimbs ? local : scratch;
+  for (std::size_t j = 0; j < k + 2; ++j) t[j] = 0;
+  for (std::size_t i = 0; i < k; ++i) {
+    // t += a * b[i]
+    const Limb bi = b[i];
+    Limb c = 0;
+#pragma GCC unroll 32
+    for (std::size_t j = 0; j < k; ++j) {
+      const Wide s = Wide(a[j]) * bi + t[j] + c;
+      t[j] = static_cast<Limb>(s);
+      c = static_cast<Limb>(s >> 64);
+    }
+    Wide s = Wide(t[k]) + c;
+    t[k] = static_cast<Limb>(s);
+    t[k + 1] = static_cast<Limb>(s >> 64);
+
+    // t = (t + m * n) / 2^64, with m chosen so the low limb cancels.
+    const Limb m = t[0] * n0inv;
+    c = static_cast<Limb>((Wide(m) * n[0] + t[0]) >> 64);
+#pragma GCC unroll 32
+    for (std::size_t j = 1; j < k; ++j) {
+      s = Wide(m) * n[j] + t[j] + c;
+      t[j - 1] = static_cast<Limb>(s);
+      c = static_cast<Limb>(s >> 64);
+    }
+    s = Wide(t[k]) + c;
+    t[k - 1] = static_cast<Limb>(s);
+    t[k] = t[k + 1] + static_cast<Limb>(s >> 64);
+  }
+
+  // t < 2n. Compute t - n into out and keep it when it did not underflow.
+  Limb borrow = 0;
+#pragma GCC unroll 32
+  for (std::size_t j = 0; j < k; ++j) {
+    const Wide diff = Wide(t[j]) - n[j] - borrow;
+    out[j] = static_cast<Limb>(diff);
+    borrow = static_cast<Limb>(diff >> 64) & 1;
+  }
+  const Limb mask = 0 - ((t[k] | (borrow ^ 1)) & 1);
+#pragma GCC unroll 32
+  for (std::size_t j = 0; j < k; ++j) {
+    out[j] = (out[j] & mask) | (t[j] & ~mask);
+  }
+}
+
+// Montgomery context for an odd n of k 64-bit limbs, built once per
+// modexp. mul() works in a scratch buffer the context owns, so an
+// exponentiation allocates nothing per multiply.
 class Montgomery {
  public:
-  Montgomery(std::vector<std::uint32_t> n, std::vector<std::uint32_t> r2)
-      : n_(std::move(n)), r2_(std::move(r2)), t_(n_.size() + 2), d_(n_.size()) {
-    // n0inv = -n^{-1} mod 2^32 via Newton iteration.
-    std::uint32_t n0 = n_[0];
-    std::uint32_t inv = n0;  // correct to 3 bits since n0 is odd
+  Montgomery(std::vector<Limb> n, std::vector<Limb> r2)
+      : n_(std::move(n)), r2_(std::move(r2)), t_(n_.size() + 2) {
+    // n0inv = -n^{-1} mod 2^64 via Newton iteration: 3 correct bits
+    // (n0 is odd) doubling to 96.
+    const Limb n0 = n_[0];
+    Limb inv = n0;
     for (int i = 0; i < 5; ++i) inv *= 2 - n0 * inv;
-    n0inv_ = ~inv + 1;  // negate mod 2^32
+    n0inv_ = 0 - inv;
+    switch (n_.size()) {  // the 256-, 512-, 1024- and 2048-bit moduli
+      case 4: kernel_ = mont_mul<4>; break;
+      case 8: kernel_ = mont_mul<8>; break;
+      case 16: kernel_ = mont_mul<16>; break;
+      case 32: kernel_ = mont_mul<32>; break;
+      default: kernel_ = mont_mul<0>; break;
+    }
   }
 
   /// R^2 mod n, k limbs: mul(x, r2()) moves x into Montgomery form.
-  const std::uint32_t* r2() const { return r2_.data(); }
+  const Limb* r2() const { return r2_.data(); }
 
-  // out = a * b * R^{-1} mod n (CIOS). a, b and out are k limbs, a and
-  // b < n; out may alias a or b.
-  void mul(const std::uint32_t* a, const std::uint32_t* b, std::uint32_t* out) {
-    const std::size_t k = n_.size();
-    std::uint32_t* t = t_.data();
-    std::fill(t_.begin(), t_.end(), 0);
-    for (std::size_t i = 0; i < k; ++i) {
-      // t += a * b[i]
-      const std::uint64_t bi = b[i];
-      std::uint64_t c = 0;
-      for (std::size_t j = 0; j < k; ++j) {
-        const std::uint64_t s = t[j] + a[j] * bi + c;
-        t[j] = static_cast<std::uint32_t>(s);
-        c = s >> 32;
-      }
-      std::uint64_t s = t[k] + c;
-      t[k] = static_cast<std::uint32_t>(s);
-      t[k + 1] = static_cast<std::uint32_t>(s >> 32);
-
-      // t = (t + m * n) / 2^32, with m chosen so the low limb cancels.
-      const std::uint64_t m = static_cast<std::uint32_t>(t[0] * n0inv_);
-      c = (t[0] + m * n_[0]) >> 32;
-      for (std::size_t j = 1; j < k; ++j) {
-        s = t[j] + m * n_[j] + c;
-        t[j - 1] = static_cast<std::uint32_t>(s);
-        c = s >> 32;
-      }
-      s = t[k] + c;
-      t[k - 1] = static_cast<std::uint32_t>(s);
-      t[k] = t[k + 1] + static_cast<std::uint32_t>(s >> 32);
-    }
-
-    // t < 2n. Compute t - n and keep it when it did not underflow, by mask
-    // rather than by branch.
-    std::uint64_t borrow = 0;
-    for (std::size_t j = 0; j < k; ++j) {
-      const std::uint64_t diff = std::uint64_t(t[j]) - n_[j] - borrow;
-      d_[j] = static_cast<std::uint32_t>(diff);
-      borrow = diff >> 63;
-    }
-    const std::uint32_t keep_diff = t[k] | static_cast<std::uint32_t>(borrow ^ 1);
-    const std::uint32_t mask = 0u - (keep_diff & 1);
-    for (std::size_t j = 0; j < k; ++j) {
-      out[j] = (d_[j] & mask) | (t[j] & ~mask);
-    }
+  void mul(const Limb* a, const Limb* b, Limb* out) {
+    kernel_(a, b, n_.data(), n0inv_, n_.size(), t_.data(), out);
   }
 
  private:
-  std::vector<std::uint32_t> n_;
-  std::vector<std::uint32_t> r2_;
-  std::vector<std::uint32_t> t_;  // k + 2 limbs of product accumulator
-  std::vector<std::uint32_t> d_;  // k limbs of t - n
-  std::uint32_t n0inv_;
+  using Kernel = void (*)(const Limb*, const Limb*, const Limb*, Limb,
+                          std::size_t, Limb*, Limb*);
+
+  std::vector<Limb> n_;
+  std::vector<Limb> r2_;
+  std::vector<Limb> t_;  // k + 2 limbs for the generic kernel
+  Limb n0inv_;
+  Kernel kernel_;
 };
 
 }  // namespace
@@ -410,20 +443,24 @@ BigInt BigInt::modexp(const BigInt& exponent, const BigInt& modulus) const {
   if (exponent.is_zero()) return BigInt(1);
 
   if (modulus.is_odd()) {
-    const std::size_t k = modulus.limbs_.size();
-    auto padded = [k](const BigInt& x) {
-      std::vector<std::uint32_t> v = x.limbs_;
-      v.resize(k, 0);
+    // Pairs of storage limbs make one Montgomery limb; an odd count pads
+    // with a zero half.
+    const std::size_t k = (modulus.limbs_.size() + 1) / 2;
+    auto packed = [k](const BigInt& x) {
+      std::vector<Limb> v(k, 0);
+      for (std::size_t i = 0; i < x.limbs_.size(); ++i) {
+        v[i / 2] |= Limb(x.limbs_[i]) << (32 * (i % 2));
+      }
       return v;
     };
-    // R^2 mod n is one word-level division of 2^(64k).
-    Montgomery mont(modulus.limbs_, padded(shift_limbs(BigInt(1), 2 * k) % modulus));
+    // R^2 mod n is one word-level division of 2^(128k).
+    Montgomery mont(packed(modulus), packed(shift_limbs(BigInt(1), 4 * k) % modulus));
 
-    std::vector<std::uint32_t> one(k, 0);
+    std::vector<Limb> one(k, 0);
     one[0] = 1;
-    std::vector<std::uint32_t> acc(k);
+    std::vector<Limb> acc(k);
     mont.mul(mont.r2(), one.data(), acc.data());  // R mod n: Montgomery one
-    std::vector<std::uint32_t> base_m = padded(base);
+    std::vector<Limb> base_m = packed(base);
     mont.mul(base_m.data(), mont.r2(), base_m.data());  // base * R mod n
 
     const std::size_t bits = exponent.bit_length();
@@ -437,7 +474,7 @@ BigInt BigInt::modexp(const BigInt& exponent, const BigInt& modulus) const {
       // squares kWindowBits times and multiplies once, so the sequence of
       // operations depends on the exponent's length, not on its bits.
       constexpr std::size_t kTableSize = std::size_t(1) << kWindowBits;
-      std::vector<std::uint32_t> table(kTableSize * k);
+      std::vector<Limb> table(kTableSize * k);
       std::copy(acc.begin(), acc.end(), table.begin());
       std::copy(base_m.begin(), base_m.end(), table.begin() + static_cast<long>(k));
       for (std::size_t w = 2; w < kTableSize; ++w) {
@@ -457,7 +494,10 @@ BigInt BigInt::modexp(const BigInt& exponent, const BigInt& modulus) const {
     // Out of Montgomery form: acc * 1 * R^{-1}.
     mont.mul(acc.data(), one.data(), acc.data());
     BigInt out;
-    out.limbs_ = std::move(acc);
+    out.limbs_.resize(2 * k);
+    for (std::size_t i = 0; i < out.limbs_.size(); ++i) {
+      out.limbs_[i] = static_cast<std::uint32_t>(acc[i / 2] >> (32 * (i % 2)));
+    }
     out.trim();
     return out;
   }

@@ -4,9 +4,11 @@
 // zero limbs (zero is an empty vector). Multiplication is schoolbook and
 // division is Knuth's algorithm D on 32-bit limbs. Modular exponentiation
 // uses Montgomery multiplication (CIOS) for odd moduli, which covers every
-// RSA and Miller-Rabin use: one context per modexp with R^2 mod n from a
-// single division and no allocation per multiply, and fixed 4-bit windows
-// for exponents longer than 64 bits.
+// RSA and Miller-Rabin use: 64-bit limbs with 128-bit products, fully
+// unrolled kernels for the 256-, 512-, 1024- and 2048-bit moduli and one
+// generic loop for any other size, one context per modexp with R^2 mod n
+// from a single division and no allocation per multiply, and fixed 4-bit
+// windows for exponents longer than 64 bits.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,7 @@
 #include "crypto/chacha20.hpp"
 
+#include <algorithm>
 #include <cassert>
-#include <cstring>
 
 #include "util/error.hpp"
 
@@ -80,7 +80,7 @@ std::vector<std::uint8_t> ChaCha20::crypt_copy(
 }
 
 void ChaCha20::keystream(std::span<std::uint8_t> out) {
-  std::memset(out.data(), 0, out.size());
+  std::fill(out.begin(), out.end(), 0);
   crypt(out);
 }
 

@@ -14,14 +14,14 @@ namespace {
 
 constexpr const char* kVersion = "cnt1";
 
-std::string mac_hex(std::string_view secret, std::string_view signed_part) {
-  crypto::Sha256::Digest digest = crypto::hmac_sha256(secret, signed_part);
+std::string mac_hex(const crypto::HmacSha256& secret, std::string_view signed_part) {
+  crypto::Sha256::Digest digest = secret.mac(signed_part);
   return util::hex_encode(std::span<const std::uint8_t>(digest));
 }
 
 }  // namespace
 
-std::string NodeTicket::mint(std::string_view secret) const {
+std::string NodeTicket::mint(const crypto::HmacSha256& secret) const {
   rpc::Value payload = rpc::Value::struct_();
   payload.set("dn", dn);
   payload.set("via_proxy", via_proxy);
@@ -37,7 +37,7 @@ std::string NodeTicket::mint(std::string_view secret) const {
   return signed_part + "." + mac_hex(secret, signed_part);
 }
 
-std::optional<NodeTicket> NodeTicket::verify(std::string_view secret,
+std::optional<NodeTicket> NodeTicket::verify(const crypto::HmacSha256& secret,
                                              std::string_view token,
                                              std::int64_t now) {
   std::size_t first = token.find('.');

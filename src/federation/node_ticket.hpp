@@ -20,6 +20,8 @@
 #include <string>
 #include <string_view>
 
+#include "crypto/hmac.hpp"
+
 namespace clarens::federation {
 
 struct NodeTicket {
@@ -30,15 +32,24 @@ struct NodeTicket {
   bool write = false;        // authorizes mutations (write/mkdir/rm)
   std::int64_t expires = 0;  // unix seconds; invalid after this instant
 
-  /// Serialize + sign with the shared cluster secret.
-  std::string mint(std::string_view secret) const;
+  /// Serialize + sign with the shared cluster secret. Long-lived minters
+  /// and verifiers pass the secret as a keyed HMAC built once.
+  std::string mint(const crypto::HmacSha256& secret) const;
+  std::string mint(std::string_view secret) const {
+    return mint(crypto::HmacSha256(secret));
+  }
 
   /// Verify signature and expiry (`now` in unix seconds). Returns the
   /// decoded ticket, or nullopt on any mismatch — malformed token, wrong
   /// secret, tampered payload, or expiry in the past. Never throws.
-  static std::optional<NodeTicket> verify(std::string_view secret,
+  static std::optional<NodeTicket> verify(const crypto::HmacSha256& secret,
                                           std::string_view token,
                                           std::int64_t now);
+  static std::optional<NodeTicket> verify(std::string_view secret,
+                                          std::string_view token,
+                                          std::int64_t now) {
+    return verify(crypto::HmacSha256(secret), token, now);
+  }
 
   /// Does the ticket's scope cover `path`? Scope "/data/run1" covers
   /// "/data/run1" and anything below it; scope "" or "/" covers all.

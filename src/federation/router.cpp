@@ -22,7 +22,10 @@ client::ClientOptions pool_base() {
 
 Router::Router(const discovery::DiscoveryServer& discovery,
                RouterOptions options)
-    : discovery_(discovery), options_(std::move(options)), pool_(pool_base()) {}
+    : discovery_(discovery),
+      options_(std::move(options)),
+      ticket_key_(options_.secret),
+      pool_(pool_base()) {}
 
 std::string Router::prefix_of(const std::string& path) const {
   return Placement::prefix_of(path, options_.prefix_depth);
@@ -106,7 +109,7 @@ std::string Router::mint_ticket(const std::string& dn, bool via_proxy,
   ticket.scope = scope;
   ticket.write = write;
   ticket.expires = util::unix_now() + options_.ticket_ttl_s;
-  return ticket.mint(options_.secret);
+  return ticket.mint(ticket_key_);
 }
 
 rpc::Value Router::call_on(const NodeInfo& node, const std::string& method,

@@ -105,6 +105,7 @@ class Router {
 
   const discovery::DiscoveryServer& discovery_;
   RouterOptions options_;
+  const crypto::HmacSha256 ticket_key_;  // options_.secret, keyed once
   client::PeerPool pool_;
 
   mutable util::Mutex mutex_{util::LockLevel::kFederationRouter};

@@ -1,5 +1,6 @@
 #include "tls/engine.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 
@@ -80,12 +81,41 @@ std::vector<std::uint8_t> concat(std::span<const std::uint8_t> a,
 crypto::Sha256::Digest finished_mac(std::span<const std::uint8_t> master,
                                     std::span<const std::uint8_t> transcript,
                                     std::string_view label) {
-  std::vector<std::uint8_t> input(transcript.begin(), transcript.end());
-  input.insert(input.end(),
-               reinterpret_cast<const std::uint8_t*>(label.data()),
-               reinterpret_cast<const std::uint8_t*>(label.data()) +
-                   label.size());
-  return crypto::hmac_sha256(master, input);
+  const crypto::HmacSha256 key(master);
+  crypto::Sha256 mac = key.begin();
+  mac.update(transcript);
+  mac.update(label);
+  return key.finish(mac);
+}
+
+std::array<std::uint8_t, 8> sequence_bytes(std::uint64_t seq) {
+  std::array<std::uint8_t, 8> out;
+  for (int i = 0; i < 8; ++i) {
+    out[i] = static_cast<std::uint8_t>(seq >> (8 * (7 - i)));
+  }
+  return out;
+}
+
+// HMAC(seq | type | data): the record MAC, streamed from its pieces.
+crypto::Sha256::Digest record_mac(const crypto::HmacSha256& key,
+                                  std::span<const std::uint8_t> seq,
+                                  std::span<const std::uint8_t> data) {
+  crypto::Sha256 mac = key.begin();
+  mac.update(seq);
+  const std::uint8_t type = kRecordData;
+  mac.update(std::span<const std::uint8_t>(&type, 1));
+  mac.update(data);
+  return key.finish(mac);
+}
+
+// The record's ChaCha20 key stream: the nonce is the first 12 bytes of
+// HMAC(seq).
+crypto::ChaCha20 record_cipher(const std::vector<std::uint8_t>& cipher_key,
+                               const crypto::HmacSha256& mac_key,
+                               std::span<const std::uint8_t> seq) {
+  crypto::Sha256::Digest nonce = mac_key.mac(seq);
+  return crypto::ChaCha20(cipher_key, std::span<const std::uint8_t>(
+                                          nonce.data(), crypto::ChaCha20::kNonceSize));
 }
 
 void write_record_header(util::Buffer& out, std::uint8_t type,
@@ -331,11 +361,9 @@ void Engine::on_server_finished(std::span<const std::uint8_t> payload) {
 
 void Engine::derive_keys(std::span<const std::uint8_t> master) {
   auto make = [&](const char* label) {
-    Keys keys;
     std::vector<std::uint8_t> material = crypto::derive_key(master, label, 64);
-    keys.cipher_key.assign(material.begin(), material.begin() + 32);
-    keys.mac_key.assign(material.begin() + 32, material.end());
-    return keys;
+    return Keys{std::vector<std::uint8_t>(material.begin(), material.begin() + 32),
+                crypto::HmacSha256(std::span<const std::uint8_t>(material).subspan(32))};
   };
   Keys client = make("client write");
   Keys server = make("server write");
@@ -349,62 +377,29 @@ void Engine::derive_keys(std::span<const std::uint8_t> master) {
 }
 
 // ---------------------------------------------------------------------------
-// Record layer.
+// Record layer. A data record is ChaCha20(plain | HMAC(seq | type | plain)).
+// Both directions work in place in the destination buffer: the plaintext
+// is MACed where it lands and encrypted or decrypted there.
 
-void Engine::encrypt_record(std::span<const std::uint8_t> plain,
-                            util::Buffer& out) {
-  std::array<std::uint8_t, 8> seq_bytes;
-  for (int i = 0; i < 8; ++i) {
-    seq_bytes[i] = static_cast<std::uint8_t>(send_seq_ >> (8 * (7 - i)));
-  }
-  std::vector<std::uint8_t> mac_input;
-  mac_input.reserve(9 + plain.size());
-  mac_input.insert(mac_input.end(), seq_bytes.begin(), seq_bytes.end());
-  mac_input.push_back(kRecordData);
-  mac_input.insert(mac_input.end(), plain.begin(), plain.end());
-  auto mac = crypto::hmac_sha256(send_keys_.mac_key, mac_input);
+void Engine::decrypt_record(std::span<const std::uint8_t> payload) {
+  constexpr std::size_t kMac = crypto::Sha256::kDigestSize;
+  if (payload.size() < kMac) throw ParseError("TLS record shorter than MAC");
+  const std::array<std::uint8_t, 8> seq = sequence_bytes(recv_seq_);
+  std::span<char> reserved = plain_in_.write_reserve(payload.size());
+  std::span<std::uint8_t> dst(reinterpret_cast<std::uint8_t*>(reserved.data()),
+                              reserved.size());
+  std::copy(payload.begin(), payload.end(), dst.begin());
+  record_cipher(recv_keys_.cipher_key, recv_keys_.mac, seq).crypt(dst);
 
-  std::vector<std::uint8_t> payload(plain.begin(), plain.end());
-  payload.insert(payload.end(), mac.begin(), mac.end());
-
-  auto nonce_full = crypto::hmac_sha256(send_keys_.mac_key, seq_bytes);
-  crypto::ChaCha20 cipher(send_keys_.cipher_key,
-                          std::span<const std::uint8_t>(nonce_full.data(), 12));
-  cipher.crypt(payload);
-
-  write_record_header(out, kRecordData, payload.size());
-  out.write(std::span<const std::uint8_t>(payload));
-  ++send_seq_;
-}
-
-void Engine::decrypt_record(std::span<const std::uint8_t> payload_in) {
-  if (payload_in.size() < 32) throw ParseError("TLS record shorter than MAC");
-  std::vector<std::uint8_t> payload(payload_in.begin(), payload_in.end());
-
-  std::array<std::uint8_t, 8> seq_bytes;
-  for (int i = 0; i < 8; ++i) {
-    seq_bytes[i] = static_cast<std::uint8_t>(recv_seq_ >> (8 * (7 - i)));
-  }
-  auto nonce_full = crypto::hmac_sha256(recv_keys_.mac_key, seq_bytes);
-  crypto::ChaCha20 cipher(recv_keys_.cipher_key,
-                          std::span<const std::uint8_t>(nonce_full.data(), 12));
-  cipher.crypt(payload);
-
-  std::size_t data_len = payload.size() - 32;
-  std::vector<std::uint8_t> mac_input;
-  mac_input.reserve(9 + data_len);
-  mac_input.insert(mac_input.end(), seq_bytes.begin(), seq_bytes.end());
-  mac_input.push_back(kRecordData);
-  mac_input.insert(mac_input.end(), payload.begin(),
-                   payload.begin() + static_cast<long>(data_len));
-  auto expected = crypto::hmac_sha256(recv_keys_.mac_key, mac_input);
-  if (!crypto::constant_time_equal(
-          std::span<const std::uint8_t>(payload.data() + data_len, 32),
-          expected)) {
+  const std::size_t data_len = payload.size() - kMac;
+  const crypto::Sha256::Digest expected =
+      record_mac(recv_keys_.mac, seq, dst.first(data_len));
+  if (!crypto::constant_time_equal(dst.subspan(data_len), expected)) {
+    plain_in_.commit(0);
     throw AuthError("TLS record MAC mismatch");
   }
   ++recv_seq_;
-  plain_in_.write(std::span<const std::uint8_t>(payload.data(), data_len));
+  plain_in_.commit(data_len);
 }
 
 std::size_t Engine::read_plain(std::span<std::uint8_t> out) {
@@ -416,42 +411,49 @@ std::size_t Engine::read_plain(std::span<std::uint8_t> out) {
 }
 
 void Engine::encrypt(std::span<const std::uint8_t> data, util::Buffer& out) {
-  if (!handshake_done()) throw Error("TLS engine: handshake not complete");
-  std::size_t off = 0;
-  while (off < data.size()) {
-    std::size_t take = std::min(kMaxPlainChunk, data.size() - off);
-    encrypt_record(data.subspan(off, take), out);
-    off += take;
-  }
-  if (data.empty()) encrypt_record(data, out);
+  const std::string_view chunk(reinterpret_cast<const char*>(data.data()),
+                               data.size());
+  encrypt(std::span<const std::string_view>(&chunk, 1), out);
 }
 
 void Engine::encrypt(std::span<const std::string_view> chunks,
                      util::Buffer& out) {
   if (!handshake_done()) throw Error("TLS engine: handshake not complete");
-  // Coalesce adjacent chunks into shared records: a response's header +
-  // body leave as one record instead of one per chunk (each record costs
-  // an HMAC + header on the wire).
-  std::vector<std::uint8_t> staged;
-  std::size_t total = 0;
-  for (std::string_view chunk : chunks) total += chunk.size();
-  staged.reserve(std::min(total, kMaxPlainChunk));
-  for (std::string_view chunk : chunks) {
-    std::size_t off = 0;
-    while (off < chunk.size()) {
-      std::size_t room = kMaxPlainChunk - staged.size();
-      if (room == 0) {
-        encrypt_record(staged, out);
-        staged.clear();
-        room = kMaxPlainChunk;
+  // Adjacent chunks share records: a response's header + body leave as
+  // one record instead of one per chunk (each record costs an HMAC +
+  // header on the wire). Records carry kMaxPlainChunk bytes each, the
+  // last one the rest; no bytes at all still make one empty record.
+  constexpr std::size_t kMac = crypto::Sha256::kDigestSize;
+  std::size_t left = 0;
+  for (std::string_view chunk : chunks) left += chunk.size();
+  std::size_t index = 0;   // chunk being copied
+  std::size_t offset = 0;  // bytes of it already copied
+  do {
+    const std::size_t len = std::min(kMaxPlainChunk, left);
+    left -= len;
+    write_record_header(out, kRecordData, len + kMac);
+    std::span<char> reserved = out.write_reserve(len + kMac);
+    std::span<std::uint8_t> record(
+        reinterpret_cast<std::uint8_t*>(reserved.data()), reserved.size());
+    for (std::size_t filled = 0; filled < len;) {
+      const std::string_view chunk = chunks[index];
+      const std::size_t take = std::min(len - filled, chunk.size() - offset);
+      std::copy_n(chunk.data() + offset, take, record.data() + filled);
+      filled += take;
+      offset += take;
+      if (offset == chunk.size()) {
+        ++index;
+        offset = 0;
       }
-      std::size_t take = std::min(room, chunk.size() - off);
-      const auto* p = reinterpret_cast<const std::uint8_t*>(chunk.data()) + off;
-      staged.insert(staged.end(), p, p + take);
-      off += take;
     }
-  }
-  if (!staged.empty() || total == 0) encrypt_record(staged, out);
+    const std::array<std::uint8_t, 8> seq = sequence_bytes(send_seq_);
+    const crypto::Sha256::Digest mac =
+        record_mac(send_keys_.mac, seq, record.first(len));
+    std::copy(mac.begin(), mac.end(), record.begin() + static_cast<long>(len));
+    record_cipher(send_keys_.cipher_key, send_keys_.mac, seq).crypt(record);
+    out.commit(record.size());
+    ++send_seq_;
+  } while (left > 0);
 }
 
 }  // namespace clarens::tls

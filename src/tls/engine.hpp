@@ -25,6 +25,7 @@
 #include <string_view>
 #include <vector>
 
+#include "crypto/hmac.hpp"
 #include "pki/certificate.hpp"
 #include "pki/verify.hpp"
 #include "util/buffer.hpp"
@@ -92,7 +93,7 @@ class Engine {
 
   struct Keys {
     std::vector<std::uint8_t> cipher_key;
-    std::vector<std::uint8_t> mac_key;
+    crypto::HmacSha256 mac;  // keyed once per connection and direction
   };
 
   void handle_record(std::uint8_t type, std::span<const std::uint8_t> payload,
@@ -105,7 +106,6 @@ class Engine {
   void on_server_finished(std::span<const std::uint8_t> payload);
   void derive_keys(std::span<const std::uint8_t> master);
   void send_alert(std::string_view reason, util::Buffer& out);
-  void encrypt_record(std::span<const std::uint8_t> plain, util::Buffer& out);
   void decrypt_record(std::span<const std::uint8_t> payload);
 
   Role role_;

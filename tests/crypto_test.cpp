@@ -90,29 +90,129 @@ TEST(Sha256, MillionAs) {
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
 }
 
+// Hashes `data` with `kernel`, fed in random-sized pieces from `rng`.
+Sha256::Digest hash_in_pieces(Sha256::Kernel kernel,
+                              std::span<const std::uint8_t> data, Drbg& rng) {
+  Sha256 sha(kernel);
+  for (std::size_t offset = 0; offset < data.size();) {
+    std::size_t take = std::min<std::size_t>(data.size() - offset, rng.uniform(150));
+    sha.update(data.subspan(offset, take));
+    offset += take;
+  }
+  return sha.finish();
+}
+
+// FIPS 180-4 padding written out (message, 0x80, zeros to 56 mod 64, the
+// bit length) and compressed with `kernel` in one call.
+Sha256::Digest padded_by_hand(Sha256::Kernel kernel,
+                              std::span<const std::uint8_t> data) {
+  std::vector<std::uint8_t> padded(data.begin(), data.end());
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) padded.push_back(0);
+  for (int i = 7; i >= 0; --i) {
+    padded.push_back(static_cast<std::uint8_t>((data.size() * 8) >> (8 * i)));
+  }
+  std::array<std::uint32_t, 8> state = {0x6a09e667u, 0xbb67ae85u, 0x3c6ef372u,
+                                        0xa54ff53au, 0x510e527fu, 0x9b05688cu,
+                                        0x1f83d9abu, 0x5be0cd19u};
+  kernel(state.data(), padded.data(), padded.size() / 64);
+  Sha256::Digest digest;
+  for (std::size_t i = 0; i < digest.size(); ++i) {
+    digest[i] = static_cast<std::uint8_t>(state[i / 4] >> (24 - 8 * (i % 4)));
+  }
+  return digest;
+}
+
+TEST(Sha256, PortableKernelStreamsAnySplit) {
+  // Every length 0-300 crosses the padding cases: the length fits after
+  // the 0x80 byte (< 56 bytes left in the block) or spills into a second
+  // padding block.
+  Drbg rng(std::vector<std::uint8_t>{41});
+  for (std::size_t len = 0; len <= 300; ++len) {
+    std::vector<std::uint8_t> data = rng.bytes(len);
+    Sha256::Digest want = padded_by_hand(Sha256::portable_kernel(), data);
+    EXPECT_EQ(hash_in_pieces(Sha256::portable_kernel(), data, rng), want) << len;
+    EXPECT_EQ(Sha256::hash(data), want) << len;
+  }
+}
+
+TEST(Sha256, ShaNiKernelMatchesPortable) {
+  Sha256::Kernel sha_ni = Sha256::sha_ni_kernel();
+  if (sha_ni == nullptr) {
+    GTEST_SKIP() << "no SHA-NI kernel: not an x86-64 build, or the CPU "
+                    "lacks the SHA extensions";
+  }
+  Drbg rng(std::vector<std::uint8_t>{43});
+  // The compression functions directly, from random states.
+  for (std::size_t blocks = 1; blocks <= 5; ++blocks) {
+    std::vector<std::uint8_t> data = rng.bytes(64 * blocks);
+    std::array<std::uint32_t, 8> portable_state;
+    for (std::uint32_t& word : portable_state) {
+      word = static_cast<std::uint32_t>(rng.next_u64());
+    }
+    std::array<std::uint32_t, 8> sha_ni_state = portable_state;
+    Sha256::portable_kernel()(portable_state.data(), data.data(), blocks);
+    sha_ni(sha_ni_state.data(), data.data(), blocks);
+    EXPECT_EQ(sha_ni_state, portable_state) << blocks << " blocks";
+  }
+  // Whole messages, split at random.
+  for (std::size_t len = 0; len <= 300; ++len) {
+    std::vector<std::uint8_t> data = rng.bytes(len);
+    EXPECT_EQ(hash_in_pieces(sha_ni, data, rng),
+              hash_in_pieces(Sha256::portable_kernel(), data, rng))
+        << len;
+  }
+  EXPECT_STREQ(Sha256::default_kernel_name(), "sha-ni");
+}
+
 // ---------- HMAC-SHA256 (RFC 4231) ----------
 
-TEST(Hmac, Rfc4231Case1) {
-  std::vector<std::uint8_t> key(20, 0x0b);
-  auto mac = hmac_sha256(key, bytes_of("Hi There"));
-  EXPECT_EQ(util::hex_encode(mac),
-            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7");
+struct HmacCase {
+  std::vector<std::uint8_t> key;
+  std::string data;
+  std::string mac;  // hex; case 5 is truncated to 128 bits
+};
+
+class Rfc4231 : public ::testing::TestWithParam<HmacCase> {};
+
+TEST_P(Rfc4231, KeyedContextEqualsOneShot) {
+  const HmacCase& c = GetParam();
+  const HmacSha256 keyed(c.key);
+  Sha256::Digest one_shot = hmac_sha256(c.key, bytes_of(c.data));
+  EXPECT_EQ(util::hex_encode(one_shot).substr(0, c.mac.size()), c.mac);
+  EXPECT_EQ(keyed.mac(c.data), one_shot);
+  // The context is reusable, and streaming matches one-shot.
+  EXPECT_EQ(keyed.mac(c.data), one_shot);
+  Sha256 inner = keyed.begin();
+  std::string_view data = c.data;
+  inner.update(data.substr(0, data.size() / 3));
+  inner.update(data.substr(data.size() / 3));
+  EXPECT_EQ(keyed.finish(inner), one_shot);
 }
 
-TEST(Hmac, Rfc4231Case2) {
-  auto mac = hmac_sha256(bytes_of("Jefe"),
-                         bytes_of("what do ya want for nothing?"));
-  EXPECT_EQ(util::hex_encode(mac),
-            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
-}
-
-TEST(Hmac, LongKeyIsHashedFirst) {
-  std::vector<std::uint8_t> key(131, 0xaa);  // longer than the block size
-  auto mac = hmac_sha256(
-      key, bytes_of("Test Using Larger Than Block-Size Key - Hash Key First"));
-  EXPECT_EQ(util::hex_encode(mac),
-            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
-}
+INSTANTIATE_TEST_SUITE_P(
+    Cases1To7, Rfc4231,
+    ::testing::Values(
+        HmacCase{std::vector<std::uint8_t>(20, 0x0b), "Hi There",
+                 "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"},
+        HmacCase{{'J', 'e', 'f', 'e'}, "what do ya want for nothing?",
+                 "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"},
+        HmacCase{std::vector<std::uint8_t>(20, 0xaa), std::string(50, '\xdd'),
+                 "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"},
+        HmacCase{{1,  2,  3,  4,  5,  6,  7,  8,  9,  10, 11, 12, 13,
+                  14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25},
+                 std::string(50, '\xcd'),
+                 "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"},
+        HmacCase{std::vector<std::uint8_t>(20, 0x0c), "Test With Truncation",
+                 "a3b6167473100ee06e0c796c2955552b"},
+        HmacCase{std::vector<std::uint8_t>(131, 0xaa),
+                 "Test Using Larger Than Block-Size Key - Hash Key First",
+                 "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"},
+        HmacCase{std::vector<std::uint8_t>(131, 0xaa),
+                 "This is a test using a larger than block-size key and a larger "
+                 "than block-size data. The key needs to be hashed before being "
+                 "used by the HMAC algorithm.",
+                 "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"}));
 
 TEST(Hmac, DeriveKeyDeterministicAndLabelSeparated) {
   std::vector<std::uint8_t> ikm = {1, 2, 3, 4};
@@ -125,6 +225,17 @@ TEST(Hmac, DeriveKeyDeterministicAndLabelSeparated) {
   // Prefix property: shorter derivation is a prefix of longer.
   auto shorter = derive_key(ikm, "label-a", 16);
   EXPECT_TRUE(std::equal(shorter.begin(), shorter.end(), a.begin()));
+}
+
+TEST(Hmac, DeriveKeyRejectsMoreThan255Blocks) {
+  // The block counter is one byte: block 256 would reuse counter 0.
+  std::vector<std::uint8_t> ikm = {5, 6, 7};
+  std::vector<std::uint8_t> longest = derive_key(ikm, "label", 255 * 32);
+  EXPECT_EQ(longest.size(), 8160u);
+  auto shorter = derive_key(ikm, "label", 100);
+  EXPECT_TRUE(std::equal(shorter.begin(), shorter.end(), longest.begin()));
+  EXPECT_THROW(derive_key(ikm, "label", 255 * 32 + 1), Error);
+  EXPECT_THROW(derive_key(ikm, "label", 1 << 20), Error);
 }
 
 TEST(Hmac, ConstantTimeEqual) {
@@ -214,6 +325,11 @@ TEST(BigInt, HexRoundTrip) {
   EXPECT_EQ(BigInt::from_hex("deadbeefcafebabe0123456789abcdef").to_hex(),
             "deadbeefcafebabe0123456789abcdef");
   EXPECT_EQ(BigInt(0xdeadbeefull).to_hex(), "deadbeef");
+  // Odd digit counts, leading zeros, upper case and the empty string.
+  EXPECT_EQ(BigInt::from_hex("123456789").to_u64(), 0x123456789u);
+  EXPECT_EQ(BigInt::from_hex("0000000000000000ABC").to_hex(), "abc");
+  EXPECT_TRUE(BigInt::from_hex("").is_zero());
+  EXPECT_THROW(BigInt::from_hex("12g4"), ParseError);
 }
 
 TEST(BigInt, BytesRoundTrip) {
@@ -368,6 +484,37 @@ TEST(BigInt, WindowedModExpMatchesNaive) {
                      BigInt(1) << 200, (BigInt(1) << 130) + BigInt(0xf),
                      all_ones(4)}) {
     EXPECT_EQ(base.modexp(exp, mod), naive_modexp(base, exp, mod)) << exp.to_hex();
+  }
+}
+
+TEST(BigInt, MontgomeryKernelsMatchSquareAndMultiply) {
+  // Odd moduli of every size from 1 to 66 storage limbs. Pairs of storage
+  // limbs make one Montgomery limb, so odd counts pad with a zero half;
+  // 8, 16, 32 and 64 storage limbs take the unrolled kernels, every other
+  // size the generic loop.
+  Drbg rng(std::vector<std::uint8_t>{47});
+  for (std::size_t limbs = 1; limbs <= 66; ++limbs) {
+    BigInt mod = limbs % 4 == 3
+                     ? all_ones(limbs)
+                     : BigInt::random_bits(32 * limbs - rng.uniform(31), rng);
+    if (!mod.is_odd()) mod = mod + BigInt(1);
+    ASSERT_GT(mod, BigInt(1));
+    const BigInt bases[] = {
+        BigInt::random_below(mod, rng),
+        mod,                // base == modulus
+        mod + BigInt(1),    // base > modulus
+        BigInt::random_bits(64 * limbs + 7, rng),  // base >> modulus
+    };
+    const std::size_t exp_bits = limbs <= 16 ? 32 * limbs : 96 + rng.uniform(160);
+    const BigInt exponents[] = {BigInt(0), BigInt(1), BigInt(65537),
+                                BigInt::random_bits(exp_bits, rng)};
+    for (const BigInt& base : bases) {
+      for (const BigInt& exp : exponents) {
+        ASSERT_EQ(base.modexp(exp, mod), naive_modexp(base, exp, mod))
+            << limbs << " limbs, exponent " << exp.to_hex() << ", modulus "
+            << mod.to_hex() << ", base " << base.to_hex();
+      }
+    }
   }
 }
 
@@ -556,6 +703,20 @@ TEST(Rsa, SeedEncodedKeySignsByteIdentically) {
   EXPECT_EQ(util::hex_encode(rsa_sign(key, "seed-encoded key")),
             "99bf4bf0745f31bfe31f4465c705970549581e7e6cd6dd894cd16cb80d0ec9aa"
             "d2283ad46e9cad11ada78e1349ce361d6451ef937b069304f774af09b72f4a13");
+}
+
+TEST(Rsa, Crt2048SignatureEqualsPlainExponentiation) {
+  // The 1024-bit CRT halves and the 2048-bit plain exponentiation run the
+  // largest unrolled Montgomery kernels.
+  Drbg rng(std::vector<std::uint8_t>{53});
+  RsaKeyPair kp = rsa_generate(2048, rng);
+  ASSERT_FALSE(kp.priv.dp.is_zero());
+  std::vector<std::uint8_t> sig = rsa_sign(kp.priv, "crt-2048");
+  EXPECT_EQ(sig, rsa_sign(without_crt(kp.priv), "crt-2048"));
+  EXPECT_TRUE(rsa_verify(kp.pub, "crt-2048", sig));
+  BigInt s = BigInt::from_bytes(sig);
+  BigInt m = s.modexp(kp.pub.e, kp.pub.n);
+  EXPECT_EQ(naive_modexp(m, kp.priv.d, kp.priv.n), s);
 }
 
 TEST(Rsa, DifferentKeysDontVerify) {

@@ -170,6 +170,52 @@ TEST(TlsEngine, LargeWriteSplitsIntoBoundedRecords) {
   EXPECT_EQ(drain_plain(server), big);
 }
 
+TEST(TlsEngine, RecordsSpanChunkBoundariesAndSkipEmptyChunks) {
+  EnginePair pair;
+  Engine& client = *pair.client;
+  Engine& server = *pair.server;
+  run_handshake(client, server, 1 << 20, 1 << 20);
+
+  // 16 KiB + 2 bytes across five chunks, two of them empty: the first
+  // record ends inside the middle chunk, the second holds the rest.
+  std::string a(10000, 'a'), b(6000, 'b'), c(386, 'c');
+  std::vector<std::string_view> chunks = {"", a, b, "", c};
+  util::Buffer wire;
+  client.encrypt(chunks, wire);
+  EXPECT_EQ(count_records(wire), 2);
+
+  // No bytes at all still make one (empty) record.
+  std::vector<std::string_view> none = {"", ""};
+  client.encrypt(none, wire);
+  EXPECT_EQ(count_records(wire), 3);
+
+  util::Buffer reply;
+  deliver(wire, server, reply, 1000);
+  EXPECT_EQ(drain_plain(server), a + b + c);
+}
+
+TEST(TlsEngine, TamperedRecordReleasesNoPlaintext) {
+  EnginePair pair;
+  Engine& client = *pair.client;
+  Engine& server = *pair.server;
+  run_handshake(client, server, 1 << 20, 1 << 20);
+
+  std::string first = "verified", second = "forged";
+  std::vector<std::string_view> chunks = {first};
+  util::Buffer wire;
+  client.encrypt(chunks, wire);
+  chunks = {second};
+  client.encrypt(chunks, wire);
+  std::vector<std::uint8_t> bytes(wire.peek().begin(), wire.peek().end());
+  bytes[bytes.size() - 33] ^= 0x01;  // flip the last data byte of "forged"
+
+  util::Buffer reply;
+  EXPECT_THROW(server.feed(bytes, reply), AuthError);
+  // The first record was verified and stays readable; no byte of the
+  // failed one is.
+  EXPECT_EQ(drain_plain(server), first);
+}
+
 TEST(TlsEngine, TamperedRecordRaisesAuthErrorAndEmitsAlert) {
   EnginePair pair;
   Engine& client = *pair.client;
