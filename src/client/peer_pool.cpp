@@ -25,7 +25,11 @@ PeerEndpoint PeerEndpoint::parse(const std::string& url) {
     throw ParseError("peer URL must include host:port: '" + url + "'");
   }
   out.host = rest.substr(0, colon);
-  out.port = static_cast<std::uint16_t>(util::parse_uint(rest.substr(colon + 1)));
+  std::uint64_t port = util::parse_uint(rest.substr(colon + 1));
+  if (port == 0 || port > 65535) {
+    throw ParseError("peer URL port must be 1-65535: '" + url + "'");
+  }
+  out.port = static_cast<std::uint16_t>(port);
   return out;
 }
 

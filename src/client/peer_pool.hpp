@@ -21,8 +21,8 @@
 
 namespace clarens::client {
 
-/// Decomposed http(s)://host:port[/path] URL. Throws clarens::ParseError
-/// on anything else.
+/// Decomposed http(s)://host:port[/path] URL with a port in 1-65535.
+/// Throws clarens::ParseError on anything else.
 struct PeerEndpoint {
   std::string host;
   std::uint16_t port = 0;

@@ -1,108 +1,62 @@
 #include "core/job_service.hpp"
 
 #include <algorithm>
-#include <chrono>
 
-#include "crypto/random.hpp"
-#include "rpc/jsonrpc.hpp"
-#include "util/clock.hpp"
 #include "util/error.hpp"
 
 namespace clarens::core {
 
 namespace {
 
-constexpr const char* kTable = "jobs";
-
-JobState state_from(const std::string& name) {
-  if (name == "QUEUED") return JobState::Queued;
-  if (name == "RUNNING") return JobState::Running;
-  if (name == "DONE") return JobState::Done;
-  if (name == "FAILED") return JobState::Failed;
-  if (name == "CANCELLED") return JobState::Cancelled;
-  throw ParseError("unknown job state: '" + name + "'");
+task::Step job_step(ShellService& shell) {
+  return [&shell](task::Record& job) {
+    job.fields.set("exit_code", std::int64_t{-1});  // stays if the shell throws
+    ShellResult result =
+        shell.execute(pki::DistinguishedName::parse(job.owner),
+                      job.fields.at("command").as_string());
+    job.fields.set("exit_code", static_cast<std::int64_t>(result.exit_code));
+    job.fields.set("output", result.out);
+    job.error = result.err;
+    return result.exit_code == 0;
+  };
 }
 
-std::string encode(const Job& job) {
-  rpc::Value v = rpc::Value::struct_();
-  v.set("owner", job.owner);
-  v.set("command", job.command);
-  v.set("state", std::string(to_string(job.state)));
-  v.set("exit_code", static_cast<std::int64_t>(job.exit_code));
-  v.set("output", job.output);
-  v.set("error", job.error);
-  v.set("submitted", job.submitted);
-  v.set("finished", job.finished);
-  return rpc::jsonrpc::serialize_value(v);
+// The command is in the record, so a job a restart interrupted runs again.
+task::Kind job_kind(ShellService& shell) {
+  return {.table = "jobs",
+          .noun = "job",
+          .restart = task::Restart::Requeue,
+          .resume = [&shell](const task::Record&) { return job_step(shell); }};
 }
 
-Job decode(const std::string& id, const std::string& text) {
-  rpc::Value v = rpc::jsonrpc::parse_value(text);
+Job to_job(const task::Record& record) {
   Job job;
-  job.id = id;
-  job.owner = v.at("owner").as_string();
-  job.command = v.at("command").as_string();
-  job.state = state_from(v.at("state").as_string());
-  job.exit_code = static_cast<int>(v.at("exit_code").as_int());
-  job.output = v.at("output").as_string();
-  job.error = v.at("error").as_string();
-  job.submitted = v.at("submitted").as_int();
-  job.finished = v.at("finished").as_int();
+  job.id = record.id;
+  job.owner = record.owner;
+  job.command = record.fields.at("command").as_string();
+  job.state = record.state;
+  job.exit_code = static_cast<int>(record.fields.at("exit_code").as_int());
+  job.output = record.fields.at("output").as_string();
+  job.error = record.error;
+  job.submitted = record.submitted;
+  job.finished = record.finished;
   return job;
-}
-
-bool is_terminal(JobState state) {
-  return state == JobState::Done || state == JobState::Failed ||
-         state == JobState::Cancelled;
 }
 
 }  // namespace
 
-const char* to_string(JobState state) {
-  switch (state) {
-    case JobState::Queued: return "QUEUED";
-    case JobState::Running: return "RUNNING";
-    case JobState::Done: return "DONE";
-    case JobState::Failed: return "FAILED";
-    case JobState::Cancelled: return "CANCELLED";
-  }
-  return "?";
+JobService::JobService(task::Engine& engine, ShellService& shell)
+    : shell_(shell), engine_(engine), kind_(job_kind(shell)) {
+  engine_.declare(kind_);
 }
 
 JobService::JobService(db::Store& store, ShellService& shell, int workers)
-    : store_(store), shell_(shell) {
-  // Recover orphans: jobs mid-flight when the server died re-queue.
-  for (const auto& id : store_.keys(kTable)) {
-    if (auto text = store_.get(kTable, id)) {
-      Job job = decode(id, *text);
-      if (job.state == JobState::Running || job.state == JobState::Queued) {
-        job.state = JobState::Queued;
-        save(job);
-        queue_.push_back(id);
-      }
-    }
-  }
-  if (workers < 1) workers = 1;
-  for (int i = 0; i < workers; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-JobService::~JobService() {
-  {
-    util::LockGuard lock(mutex_);
-    stopping_ = true;
-  }
-  work_available_.notify_all();
-  for (auto& worker : workers_) worker.join();
-}
-
-void JobService::save(const Job& job) { store_.put(kTable, job.id, encode(job)); }
-
-Job JobService::load(const std::string& job_id) const {
-  auto text = store_.get(kTable, job_id);
-  if (!text) throw NotFoundError("no such job: " + job_id);
-  return decode(job_id, *text);
+    : shell_(shell),
+      own_engine_(std::make_unique<task::Engine>(
+          store, static_cast<std::size_t>(std::max(workers, 1)))),
+      engine_(*own_engine_),
+      kind_(job_kind(shell)) {
+  engine_.declare(kind_);
 }
 
 std::string JobService::submit(const pki::DistinguishedName& owner,
@@ -110,153 +64,40 @@ std::string JobService::submit(const pki::DistinguishedName& owner,
   if (!shell_.map_user(owner)) {
     throw AccessError("no system user mapped for " + owner.str());
   }
-  Job job;
-  job.id = crypto::random_token(10);
-  job.owner = owner.str();
-  job.command = command;
-  job.submitted = util::unix_now();
-  {
-    // lock-order: core.job -> db.store.shard
-    util::LockGuard lock(mutex_);
-    save(job);
-    queue_.push_back(job.id);
-  }
-  work_available_.notify_one();
-  return job.id;
-}
-
-void JobService::worker_loop() {
-  for (;;) {
-    std::string job_id;
-    Job job;
-    {
-      // lock-order: core.job -> db.store.shard
-      util::UniqueLock lock(mutex_);
-      while (!stopping_ && queue_.empty()) work_available_.wait(lock);
-      if (stopping_) return;
-      job_id = queue_.front();
-      queue_.pop_front();
-      try {
-        job = load(job_id);
-      } catch (const NotFoundError&) {
-        continue;  // purged while queued
-      }
-      if (job.state != JobState::Queued) continue;  // cancelled
-      job.state = JobState::Running;
-      save(job);
-    }
-    state_changed_.notify_all();
-
-    ShellResult result;
-    std::string failure;
-    try {
-      result = shell_.execute(pki::DistinguishedName::parse(job.owner),
-                              job.command);
-    } catch (const Error& e) {
-      failure = e.what();
-    }
-
-    {
-      // lock-order: core.job -> db.store.shard
-      util::LockGuard lock(mutex_);
-      try {
-        job = load(job_id);
-      } catch (const NotFoundError&) {
-        continue;
-      }
-      if (!failure.empty()) {
-        job.state = JobState::Failed;
-        job.error = failure;
-        job.exit_code = -1;
-      } else {
-        job.state = result.exit_code == 0 ? JobState::Done : JobState::Failed;
-        job.exit_code = result.exit_code;
-        job.output = result.out;
-        job.error = result.err;
-      }
-      job.finished = util::unix_now();
-      save(job);
-    }
-    state_changed_.notify_all();
-  }
+  task::Record record;
+  record.owner = owner.str();
+  record.fields.set("command", command);
+  record.fields.set("exit_code", std::int64_t{0});
+  record.fields.set("output", std::string());
+  return engine_.submit(kind_, std::move(record), job_step(shell_));
 }
 
 Job JobService::status(const std::string& job_id,
                        const pki::DistinguishedName& who) const {
-  // lock-order: core.job -> db.store.shard
-  util::LockGuard lock(mutex_);
-  Job job = load(job_id);
-  if (job.owner != who.str()) {
-    throw AccessError("job belongs to a different identity");
-  }
-  return job;
+  return to_job(engine_.get(kind_, job_id, who.str()));
 }
 
 std::vector<Job> JobService::list(const pki::DistinguishedName& owner) const {
-  // lock-order: core.job -> db.store.shard
-  util::LockGuard lock(mutex_);
   std::vector<Job> out;
-  for (const auto& id : store_.keys(kTable)) {
-    if (auto text = store_.get(kTable, id)) {
-      Job job = decode(id, *text);
-      if (job.owner == owner.str()) out.push_back(std::move(job));
-    }
+  for (const auto& record : engine_.list(kind_, owner.str())) {
+    out.push_back(to_job(record));
   }
-  std::sort(out.begin(), out.end(), [](const Job& a, const Job& b) {
-    return a.submitted > b.submitted;
-  });
   return out;
 }
 
 bool JobService::cancel(const std::string& job_id,
                         const pki::DistinguishedName& who) {
-  // lock-order: core.job -> db.store.shard
-  util::LockGuard lock(mutex_);
-  Job job = load(job_id);
-  if (job.owner != who.str()) {
-    throw AccessError("job belongs to a different identity");
-  }
-  if (job.state != JobState::Queued) return false;
-  job.state = JobState::Cancelled;
-  job.finished = util::unix_now();
-  save(job);
-  state_changed_.notify_all();
-  return true;
+  return engine_.cancel(kind_, job_id, who.str());
 }
 
 void JobService::purge(const std::string& job_id,
                        const pki::DistinguishedName& who) {
-  // lock-order: core.job -> db.store.shard
-  util::LockGuard lock(mutex_);
-  Job job = load(job_id);
-  if (job.owner != who.str()) {
-    throw AccessError("job belongs to a different identity");
-  }
-  if (!is_terminal(job.state)) {
-    throw Error("cannot purge a job in state " +
-                std::string(to_string(job.state)));
-  }
-  store_.erase(kTable, job_id);
+  engine_.purge(kind_, job_id, who.str());
 }
 
 Job JobService::wait(const std::string& job_id,
                      const pki::DistinguishedName& who, int timeout_ms) {
-  // lock-order: core.job -> db.store.shard
-  util::UniqueLock lock(mutex_);
-  auto deadline = std::chrono::steady_clock::now() +
-                  std::chrono::milliseconds(timeout_ms);
-  Job job = load(job_id);
-  while (!is_terminal(job.state)) {
-    bool timed_out =
-        state_changed_.wait_until(lock, deadline) == std::cv_status::timeout;
-    job = load(job_id);
-    if (is_terminal(job.state)) break;
-    if (timed_out) throw SystemError("job did not finish in time");
-  }
-  if (job.owner != who.str()) {
-    throw AccessError("job belongs to a different identity");
-  }
-  return job;
+  return to_job(engine_.wait(kind_, job_id, who.str(), timeout_ms));
 }
 
 }  // namespace clarens::core

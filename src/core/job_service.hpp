@@ -3,30 +3,26 @@
 // Service workflows).
 //
 // Jobs are shell-service command lines executed asynchronously in the
-// submitter's sandbox by a small worker pool. Job records (state, exit
-// code, captured output) live in the database, so a submitter can
-// disconnect and query results later — the same survive-restart property
-// sessions have. States: QUEUED -> RUNNING -> DONE | FAILED; CANCELLED
-// is reachable from QUEUED only (the restricted interpreter runs
-// commands to completion).
+// submitter's sandbox, as tasks on the server's task::Engine. Job records
+// (state, exit code, captured output) live in the database, so a
+// submitter can disconnect and query results later — the same
+// survive-restart property sessions have. A job found unfinished after a
+// restart runs again: its command is in the record.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/shell_service.hpp"
 #include "db/store.hpp"
 #include "pki/dn.hpp"
-#include "util/sync.hpp"
+#include "task/engine.hpp"
 
 namespace clarens::core {
 
-enum class JobState { Queued, Running, Done, Failed, Cancelled };
-
-const char* to_string(JobState state);
+using JobState = task::State;
 
 struct Job {
   std::string id;
@@ -42,8 +38,10 @@ struct Job {
 
 class JobService {
  public:
+  /// Runs jobs on `engine`, whose store keeps the records.
+  JobService(task::Engine& engine, ShellService& shell);
+  /// Runs jobs on an engine of its own with `workers` threads.
   JobService(db::Store& store, ShellService& shell, int workers = 2);
-  ~JobService();
 
   JobService(const JobService&) = delete;
   JobService& operator=(const JobService&) = delete;
@@ -71,20 +69,10 @@ class JobService {
            int timeout_ms = 10000);
 
  private:
-  void worker_loop();
-  void save(const Job& job);
-  Job load(const std::string& job_id) const;  // throws NotFoundError
-
-  db::Store& store_;
   ShellService& shell_;
-  /// Held across store reads/writes of job records (atomic state
-  /// transitions): hierarchy `core.job` -> `db.store.shard`.
-  mutable util::Mutex mutex_{util::LockLevel::kCoreJob};
-  util::CondVar work_available_;
-  util::CondVar state_changed_;
-  std::deque<std::string> queue_ CLARENS_GUARDED_BY(mutex_);
-  bool stopping_ CLARENS_GUARDED_BY(mutex_) = false;
-  std::vector<util::Thread> workers_;  // written once in the constructor
+  std::unique_ptr<task::Engine> own_engine_;  // standalone constructor only
+  task::Engine& engine_;
+  const task::Kind kind_;
 };
 
 }  // namespace clarens::core

@@ -24,6 +24,7 @@ namespace {
 constexpr const char* kSessionHeader = "X-Clarens-Session";
 constexpr const char* kNodeTicketHeader = "X-Clarens-Node-Ticket";
 constexpr const char* kReplicationHeader = "X-Clarens-Replication";
+constexpr std::size_t kTaskThreads = 2;
 
 // Minimal browser portal (paper §3): a static page whose JavaScript would
 // issue the web-service calls; served to satisfy HTTP GET on "/".
@@ -87,13 +88,11 @@ ClarensServer::ClarensServer(ClarensConfig config)
   }
   proxy_ = std::make_unique<ProxyService>(*store_, *sessions_, config_.trust);
   messages_ = std::make_unique<MessageService>(*store_);
-  if (shell_) {
-    jobs_ = std::make_unique<JobService>(*store_, *shell_, config_.job_workers);
-  }
-  if (config_.transfer_workers > 0) {
-    transfers_ = std::make_unique<TransferService>(
-        *store_, *files_, *proxy_, config_.trust, config_.transfer_workers);
-  }
+  // Jobs and transfers share one pool of kTaskThreads.
+  tasks_ = std::make_unique<task::Engine>(*store_, kTaskThreads);
+  if (shell_) jobs_ = std::make_unique<JobService>(*tasks_, *shell_);
+  transfers_ = std::make_unique<TransferService>(*tasks_, *files_, *proxy_,
+                                                 config_.trust);
 
   for (const auto& [path, spec] : config_.initial_method_acls) {
     acl_->set_method_acl(path, spec);
@@ -133,7 +132,7 @@ void ClarensServer::register_core_methods() {
   if (jobs_) bindings::register_job_methods(*jobs_, registry_);
   bindings::register_proxy_methods(*proxy_, registry_);
   bindings::register_message_methods(*messages_, registry_);
-  if (transfers_) bindings::register_transfer_methods(*transfers_, registry_);
+  bindings::register_transfer_methods(*transfers_, registry_);
 }
 
 void ClarensServer::attach_discovery(discovery::DiscoveryServer& discovery) {

@@ -39,6 +39,7 @@
 #include "pki/verify.hpp"
 #include "rpc/registry.hpp"
 #include "storage/srm.hpp"
+#include "task/engine.hpp"
 #include "util/sync.hpp"
 
 namespace clarens::core {
@@ -103,10 +104,6 @@ struct ClarensConfig {
   /// services).
   std::string sandbox_base;
   std::vector<UserMapEntry> user_map;
-  /// Concurrent job-execution workers.
-  int job_workers = 2;
-  /// Concurrent third-party transfer streams; 0 disables transfer.*.
-  int transfer_workers = 2;
 
   std::int64_t session_ttl = 24 * 3600;
   std::int64_t challenge_ttl = 300;
@@ -280,6 +277,9 @@ class ClarensServer {
   std::unique_ptr<TransferService> transfers_;
   std::unique_ptr<ShellService> shell_;
   std::unique_ptr<ProxyService> proxy_;
+  /// Runs job and transfer steps. Declared after every service a step
+  /// uses, so its destruction joins the running steps before they go.
+  std::unique_ptr<task::Engine> tasks_;
   std::unique_ptr<http::Server> http_;
   std::unique_ptr<discovery::Publisher> publisher_;
   std::unique_ptr<federation::Router> router_;

@@ -1,148 +1,95 @@
 #include "core/transfer_service.hpp"
 
-#include <algorithm>
-#include <chrono>
-
 #include "client/client.hpp"
-#include "crypto/random.hpp"
-#include "rpc/jsonrpc.hpp"
-#include "util/clock.hpp"
-#include "util/error.hpp"
-#include "util/strings.hpp"
+#include "client/peer_pool.hpp"
 
 namespace clarens::core {
 
 namespace {
 
-constexpr const char* kTable = "transfers";
+// Pulls the file as the owner and verifies it; `t` carries the endpoints.
+task::Step transfer_step(FileService& files, const pki::TrustStore& trust,
+                         ProxyService::StoredProxy credential) {
+  return [&files, &trust, credential = std::move(credential)](
+             task::Record& t) {
+    const rpc::Value& f = t.fields;
+    std::string source_path = f.at("source_path").as_string();
+    std::string dest_path = f.at("dest_path").as_string();
+    pki::DistinguishedName owner = pki::DistinguishedName::parse(t.owner);
+    std::int64_t bytes = 0;
+    bool verified = false;
+    try {
+      // Authenticate to the source as the user (proxy chain).
+      client::ClientOptions options;
+      options.host = f.at("source_host").as_string();
+      options.port = static_cast<std::uint16_t>(f.at("source_port").as_int());
+      options.use_tls = f.at("source_tls").as_bool();
+      options.credential = credential.proxy;
+      options.chain = {credential.user_cert};
+      options.trust = &trust;
+      client::ClarensClient source(options);
+      source.connect();
+      source.authenticate();
 
-TransferState transfer_state_from(const std::string& name) {
-  if (name == "QUEUED") return TransferState::Queued;
-  if (name == "RUNNING") return TransferState::Running;
-  if (name == "DONE") return TransferState::Done;
-  if (name == "FAILED") return TransferState::Failed;
-  if (name == "CANCELLED") return TransferState::Cancelled;
-  throw ParseError("unknown transfer state: '" + name + "'");
+      std::string remote_md5 = source.file_md5(source_path);
+
+      // Stream block by block; destination writes are ACL-checked as the
+      // owner. Start from a fresh destination file.
+      std::vector<std::uint8_t> empty;
+      files.write(dest_path, empty, owner);
+      for (;;) {
+        auto block = source.file_read(source_path, bytes,
+                                      TransferService::kBlockSize);
+        if (block.empty()) break;
+        files.append(dest_path, block, owner);
+        bytes += static_cast<std::int64_t>(block.size());
+      }
+      verified = files.md5(dest_path, owner) == remote_md5;
+      if (!verified) t.error = "md5 mismatch after transfer";
+    } catch (const std::exception& e) {
+      t.error = e.what();
+    }
+    t.fields.set("bytes", bytes);
+    t.fields.set("verified", verified);
+    return verified;
+  };
 }
 
-std::string encode(const Transfer& t) {
-  rpc::Value v = rpc::Value::struct_();
-  v.set("owner", t.owner);
-  v.set("source_host", t.source_host);
-  v.set("source_port", static_cast<std::int64_t>(t.source_port));
-  v.set("source_tls", t.source_tls);
-  v.set("source_path", t.source_path);
-  v.set("dest_path", t.dest_path);
-  v.set("state", std::string(to_string(t.state)));
-  v.set("bytes", t.bytes);
-  v.set("verified", t.verified);
-  v.set("error", t.error);
-  v.set("submitted", t.submitted);
-  v.set("finished", t.finished);
-  return rpc::jsonrpc::serialize_value(v);
-}
-
-Transfer decode(const std::string& id, const std::string& text) {
-  rpc::Value v = rpc::jsonrpc::parse_value(text);
+Transfer to_transfer(const task::Record& record) {
+  const rpc::Value& f = record.fields;
   Transfer t;
-  t.id = id;
-  t.owner = v.at("owner").as_string();
-  t.source_host = v.at("source_host").as_string();
-  t.source_port = static_cast<std::uint16_t>(v.at("source_port").as_int());
-  t.source_tls = v.at("source_tls").as_bool();
-  t.source_path = v.at("source_path").as_string();
-  t.dest_path = v.at("dest_path").as_string();
-  t.state = transfer_state_from(v.at("state").as_string());
-  t.bytes = v.at("bytes").as_int();
-  t.verified = v.at("verified").as_bool();
-  t.error = v.at("error").as_string();
-  t.submitted = v.at("submitted").as_int();
-  t.finished = v.at("finished").as_int();
+  t.id = record.id;
+  t.owner = record.owner;
+  t.source_host = f.at("source_host").as_string();
+  t.source_port = static_cast<std::uint16_t>(f.at("source_port").as_int());
+  t.source_tls = f.at("source_tls").as_bool();
+  t.source_path = f.at("source_path").as_string();
+  t.dest_path = f.at("dest_path").as_string();
+  t.state = record.state;
+  t.bytes = f.at("bytes").as_int();
+  t.verified = f.at("verified").as_bool();
+  t.error = record.error;
+  t.submitted = record.submitted;
+  t.finished = record.finished;
   return t;
-}
-
-bool is_terminal(TransferState state) {
-  return state == TransferState::Done || state == TransferState::Failed ||
-         state == TransferState::Cancelled;
 }
 
 }  // namespace
 
-const char* to_string(TransferState state) {
-  switch (state) {
-    case TransferState::Queued: return "QUEUED";
-    case TransferState::Running: return "RUNNING";
-    case TransferState::Done: return "DONE";
-    case TransferState::Failed: return "FAILED";
-    case TransferState::Cancelled: return "CANCELLED";
-  }
-  return "?";
-}
-
-void parse_server_url(const std::string& url, std::string& host,
-                      std::uint16_t& port, bool& tls) {
-  std::string rest;
-  if (util::starts_with(url, "https://")) {
-    tls = true;
-    rest = url.substr(8);
-  } else if (util::starts_with(url, "http://")) {
-    tls = false;
-    rest = url.substr(7);
-  } else {
-    throw ParseError("server URL must start with http:// or https://");
-  }
-  // Strip any path component.
-  std::size_t slash = rest.find('/');
-  if (slash != std::string::npos) rest.resize(slash);
-  std::size_t colon = rest.rfind(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 == rest.size()) {
-    throw ParseError("server URL must include host:port");
-  }
-  host = rest.substr(0, colon);
-  port = static_cast<std::uint16_t>(util::parse_uint(rest.substr(colon + 1)));
-}
-
-TransferService::TransferService(db::Store& store, FileService& files,
+// The delegated credential is never stored (passwords are not retained),
+// so a transfer a restart interrupted cannot resume: it fails, and its
+// owner resubmits.
+TransferService::TransferService(task::Engine& engine, FileService& files,
                                  ProxyService& proxies,
-                                 const pki::TrustStore& trust, int workers)
-    : store_(store), files_(files), proxies_(proxies), trust_(trust) {
-  // Orphaned transfers from a crash fail cleanly: we no longer hold the
-  // delegated credential (passwords are never persisted), so they cannot
-  // be resumed silently — the owner must restart them.
-  for (const auto& id : store_.keys(kTable)) {
-    if (auto text = store_.get(kTable, id)) {
-      Transfer t = decode(id, *text);
-      if (!is_terminal(t.state)) {
-        t.state = TransferState::Failed;
-        t.error = "interrupted by server restart; resubmit";
-        t.finished = util::unix_now();
-        save(t);
-      }
-    }
-  }
-  if (workers < 1) workers = 1;
-  for (int i = 0; i < workers; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-TransferService::~TransferService() {
-  {
-    util::LockGuard lock(mutex_);
-    stopping_ = true;
-  }
-  work_available_.notify_all();
-  for (auto& worker : workers_) worker.join();
-}
-
-void TransferService::save(const Transfer& t) {
-  store_.put(kTable, t.id, encode(t));
-}
-
-Transfer TransferService::load(const std::string& transfer_id) const {
-  auto text = store_.get(kTable, transfer_id);
-  if (!text) throw NotFoundError("no such transfer: " + transfer_id);
-  return decode(transfer_id, *text);
+                                 const pki::TrustStore& trust)
+    : engine_(engine),
+      files_(files),
+      proxies_(proxies),
+      trust_(trust),
+      kind_{.table = "transfers",
+            .noun = "transfer",
+            .restart = task::Restart::Fail} {
+  engine_.declare(kind_);
 }
 
 std::string TransferService::start(const pki::DistinguishedName& owner,
@@ -150,189 +97,47 @@ std::string TransferService::start(const pki::DistinguishedName& owner,
                                    const std::string& source_path,
                                    const std::string& dest_path,
                                    const std::string& proxy_password) {
-  Transfer t;
-  parse_server_url(source_url, t.source_host, t.source_port, t.source_tls);
-  t.id = crypto::random_token(10);
-  t.owner = owner.str();
-  t.source_path = source_path;
-  t.dest_path = dest_path;
-  t.submitted = util::unix_now();
-
+  client::PeerEndpoint source = client::PeerEndpoint::parse(source_url);
   // Unlock the delegation now; the password itself is dropped.
   ProxyService::StoredProxy credential =
       proxies_.retrieve(owner.str(), proxy_password);
 
-  {
-    // lock-order: core.transfer -> db.store.shard
-    util::LockGuard lock(mutex_);
-    save(t);
-    credentials_[t.id] = std::move(credential);
-    queue_.push_back(t.id);
-  }
-  work_available_.notify_one();
-  return t.id;
-}
-
-void TransferService::worker_loop() {
-  for (;;) {
-    std::string transfer_id;
-    {
-      // lock-order: core.transfer -> db.store.shard
-      util::UniqueLock lock(mutex_);
-      while (!stopping_ && queue_.empty()) work_available_.wait(lock);
-      if (stopping_) return;
-      transfer_id = queue_.front();
-      queue_.pop_front();
-      Transfer t;
-      try {
-        t = load(transfer_id);
-      } catch (const NotFoundError&) {
-        credentials_.erase(transfer_id);
-        continue;
-      }
-      if (t.state != TransferState::Queued) {
-        credentials_.erase(transfer_id);
-        continue;  // cancelled while queued
-      }
-      t.state = TransferState::Running;
-      save(t);
-    }
-    state_changed_.notify_all();
-    run_transfer(transfer_id);
-    state_changed_.notify_all();
-  }
-}
-
-void TransferService::run_transfer(const std::string& transfer_id) {
-  Transfer t;
-  ProxyService::StoredProxy credential;
-  {
-    // lock-order: core.transfer -> db.store.shard
-    util::LockGuard lock(mutex_);
-    t = load(transfer_id);
-    auto it = credentials_.find(transfer_id);
-    if (it == credentials_.end()) {
-      t.state = TransferState::Failed;
-      t.error = "delegated credential lost";
-      t.finished = util::unix_now();
-      save(t);
-      return;
-    }
-    credential = it->second;
-    credentials_.erase(it);
-  }
-
-  std::string error;
-  std::int64_t bytes = 0;
-  bool verified = false;
-  pki::DistinguishedName owner = pki::DistinguishedName::parse(t.owner);
-  try {
-    // Authenticate to the source as the user (proxy chain).
-    client::ClientOptions options;
-    options.host = t.source_host;
-    options.port = t.source_port;
-    options.use_tls = t.source_tls;
-    options.credential = credential.proxy;
-    options.chain = {credential.user_cert};
-    options.trust = &trust_;
-    client::ClarensClient source(options);
-    source.connect();
-    source.authenticate();
-
-    std::string remote_md5 = source.file_md5(t.source_path);
-
-    // Stream block by block; destination writes are ACL-checked as the
-    // owner. Start from a fresh destination file.
-    std::vector<std::uint8_t> empty;
-    files_.write(t.dest_path, empty, owner);
-    for (;;) {
-      auto block = source.file_read(t.source_path, bytes, kBlockSize);
-      if (block.empty()) break;
-      files_.append(t.dest_path, block, owner);
-      bytes += static_cast<std::int64_t>(block.size());
-    }
-    verified = files_.md5(t.dest_path, owner) == remote_md5;
-    if (!verified) error = "md5 mismatch after transfer";
-  } catch (const std::exception& e) {
-    error = e.what();
-  }
-
-  // lock-order: core.transfer -> db.store.shard
-  util::LockGuard lock(mutex_);
-  t = load(transfer_id);
-  t.bytes = bytes;
-  t.verified = verified;
-  t.error = error;
-  t.state = (error.empty() && verified) ? TransferState::Done
-                                        : TransferState::Failed;
-  t.finished = util::unix_now();
-  save(t);
+  task::Record record;
+  record.owner = owner.str();
+  record.fields.set("source_host", source.host);
+  record.fields.set("source_port", static_cast<std::int64_t>(source.port));
+  record.fields.set("source_tls", source.tls);
+  record.fields.set("source_path", source_path);
+  record.fields.set("dest_path", dest_path);
+  record.fields.set("bytes", std::int64_t{0});
+  record.fields.set("verified", false);
+  return engine_.submit(kind_, std::move(record),
+                        transfer_step(files_, trust_, std::move(credential)));
 }
 
 Transfer TransferService::status(const std::string& transfer_id,
                                  const pki::DistinguishedName& who) const {
-  // lock-order: core.transfer -> db.store.shard
-  util::LockGuard lock(mutex_);
-  Transfer t = load(transfer_id);
-  if (t.owner != who.str()) {
-    throw AccessError("transfer belongs to a different identity");
-  }
-  return t;
+  return to_transfer(engine_.get(kind_, transfer_id, who.str()));
 }
 
 std::vector<Transfer> TransferService::list(
     const pki::DistinguishedName& owner) const {
-  // lock-order: core.transfer -> db.store.shard
-  util::LockGuard lock(mutex_);
   std::vector<Transfer> out;
-  for (const auto& id : store_.keys(kTable)) {
-    if (auto text = store_.get(kTable, id)) {
-      Transfer t = decode(id, *text);
-      if (t.owner == owner.str()) out.push_back(std::move(t));
-    }
+  for (const auto& record : engine_.list(kind_, owner.str())) {
+    out.push_back(to_transfer(record));
   }
-  std::sort(out.begin(), out.end(), [](const Transfer& a, const Transfer& b) {
-    return a.submitted > b.submitted;
-  });
   return out;
 }
 
 bool TransferService::cancel(const std::string& transfer_id,
                              const pki::DistinguishedName& who) {
-  // lock-order: core.transfer -> db.store.shard
-  util::LockGuard lock(mutex_);
-  Transfer t = load(transfer_id);
-  if (t.owner != who.str()) {
-    throw AccessError("transfer belongs to a different identity");
-  }
-  if (t.state != TransferState::Queued) return false;
-  t.state = TransferState::Cancelled;
-  t.finished = util::unix_now();
-  save(t);
-  credentials_.erase(transfer_id);
-  state_changed_.notify_all();
-  return true;
+  return engine_.cancel(kind_, transfer_id, who.str());
 }
 
 Transfer TransferService::wait(const std::string& transfer_id,
                                const pki::DistinguishedName& who,
                                int timeout_ms) {
-  // lock-order: core.transfer -> db.store.shard
-  util::UniqueLock lock(mutex_);
-  auto deadline = std::chrono::steady_clock::now() +
-                  std::chrono::milliseconds(timeout_ms);
-  Transfer t = load(transfer_id);
-  while (!is_terminal(t.state)) {
-    bool timed_out =
-        state_changed_.wait_until(lock, deadline) == std::cv_status::timeout;
-    t = load(transfer_id);
-    if (is_terminal(t.state)) break;
-    if (timed_out) throw SystemError("transfer did not finish in time");
-  }
-  if (t.owner != who.str()) {
-    throw AccessError("transfer belongs to a different identity");
-  }
-  return t;
+  return to_transfer(engine_.wait(kind_, transfer_id, who.str(), timeout_ms));
 }
 
 }  // namespace clarens::core

@@ -10,27 +10,24 @@
 // the user's identity: the source checks read access, the destination
 // checks write access.
 //
-// Robustness: DB-backed transfer records (survive restarts, orphans
-// re-queue), chunked streaming in bounded memory, and post-transfer MD5
-// verification against the source's file.md5().
+// Robustness: DB-backed transfer records, run as tasks on the server's
+// task::Engine; chunked streaming in bounded memory; post-transfer MD5
+// verification against the source's file.md5(). The delegated proxy lives
+// only in the queued task's step, never in the store, so a transfer a
+// restart interrupted ends FAILED and its owner resubmits it.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "core/file_service.hpp"
 #include "core/proxy_service.hpp"
-#include "db/store.hpp"
-#include "util/sync.hpp"
+#include "task/engine.hpp"
 
 namespace clarens::core {
 
-enum class TransferState { Queued, Running, Done, Failed, Cancelled };
-
-const char* to_string(TransferState state);
+using TransferState = task::State;
 
 struct Transfer {
   std::string id;
@@ -52,9 +49,9 @@ class TransferService {
  public:
   /// `proxies` supplies delegated credentials; `files` is the local
   /// (destination) file service; `trust` verifies the remote server.
-  TransferService(db::Store& store, FileService& files, ProxyService& proxies,
-                  const pki::TrustStore& trust, int workers = 2);
-  ~TransferService();
+  /// Transfers run on `engine`, whose store keeps the records.
+  TransferService(task::Engine& engine, FileService& files,
+                  ProxyService& proxies, const pki::TrustStore& trust);
 
   TransferService(const TransferService&) = delete;
   TransferService& operator=(const TransferService&) = delete;
@@ -83,33 +80,11 @@ class TransferService {
   static constexpr std::int64_t kBlockSize = 1 << 20;
 
  private:
-  void worker_loop();
-  void run_transfer(const std::string& transfer_id);
-  void save(const Transfer& transfer);
-  Transfer load(const std::string& transfer_id) const;
-
-  db::Store& store_;
+  task::Engine& engine_;
   FileService& files_;
   ProxyService& proxies_;
   const pki::TrustStore& trust_;
-
-  /// Held across store reads/writes of transfer records: hierarchy
-  /// `core.transfer` -> `db.store.shard`.
-  mutable util::Mutex mutex_{util::LockLevel::kCoreTransfer};
-  util::CondVar work_available_;
-  util::CondVar state_changed_;
-  std::deque<std::string> queue_ CLARENS_GUARDED_BY(mutex_);
-  /// Retrieved proxy credentials for queued transfers, keyed by id —
-  /// kept in memory only (never persisted; passwords are not retained).
-  std::map<std::string, ProxyService::StoredProxy> credentials_
-      CLARENS_GUARDED_BY(mutex_);
-  bool stopping_ CLARENS_GUARDED_BY(mutex_) = false;
-  std::vector<util::Thread> workers_;  // written once in the constructor
+  const task::Kind kind_;
 };
-
-/// Parse "http://host:port" / "https://host:port" into (host, port, tls).
-/// Throws clarens::ParseError.
-void parse_server_url(const std::string& url, std::string& host,
-                      std::uint16_t& port, bool& tls);
 
 }  // namespace clarens::core

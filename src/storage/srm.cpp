@@ -1,12 +1,47 @@
 #include "storage/srm.hpp"
 
-#include <chrono>
+#include <algorithm>
 
-#include "crypto/random.hpp"
-#include "util/clock.hpp"
 #include "util/error.hpp"
 
 namespace clarens::storage {
+
+namespace {
+
+// Requests have no owner: any caller the srm.* ACL admits may use a token.
+const std::string kAnyone;
+
+task::Step stage_step(MassStorage& storage) {
+  return [&storage](task::Record& request) {
+    request.fields.set(
+        "cache_file",
+        storage.stage_and_pin(request.fields.at("logical_path").as_string()));
+    return true;
+  };
+}
+
+SrmRequest to_request(const task::Record& record) {
+  SrmRequest request;
+  request.token = record.id;
+  request.logical_path = record.fields.at("logical_path").as_string();
+  switch (record.state) {
+    case task::State::Queued: request.state = SrmState::Queued; break;
+    case task::State::Running: request.state = SrmState::Staging; break;
+    case task::State::Done:
+      request.state = record.fields.at("released").as_bool()
+                          ? SrmState::Released
+                          : SrmState::Ready;
+      break;
+    case task::State::Failed:
+    case task::State::Cancelled: request.state = SrmState::Failed; break;
+  }
+  request.cache_file = record.fields.at("cache_file").as_string();
+  request.error = record.error;
+  request.created = record.submitted;
+  return request;
+}
+
+}  // namespace
 
 const char* to_string(SrmState state) {
   switch (state) {
@@ -19,127 +54,40 @@ const char* to_string(SrmState state) {
   return "?";
 }
 
-SrmService::SrmService(MassStorage& storage, int workers) : storage_(storage) {
-  if (workers < 1) workers = 1;
-  for (int i = 0; i < workers; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-SrmService::~SrmService() {
-  {
-    util::LockGuard lock(mutex_);
-    stopping_ = true;
-  }
-  work_available_.notify_all();
-  for (auto& worker : workers_) worker.join();
-}
+SrmService::SrmService(MassStorage& storage, int workers)
+    : storage_(storage),
+      kind_{.table = "srm", .noun = "SRM request"},
+      engine_(requests_, static_cast<std::size_t>(std::max(workers, 1))) {}
 
 std::string SrmService::prepare_to_get(const std::string& logical_path) {
-  SrmRequest request;
-  request.token = crypto::random_token(12);
-  request.logical_path = logical_path;
-  request.created = util::unix_now();
-  {
-    util::LockGuard lock(mutex_);
-    requests_[request.token] = request;
-    queue_.push_back(request.token);
-  }
-  work_available_.notify_one();
-  return request.token;
-}
-
-void SrmService::worker_loop() {
-  for (;;) {
-    std::string token;
-    {
-      util::UniqueLock lock(mutex_);
-      while (!stopping_ && queue_.empty()) work_available_.wait(lock);
-      if (stopping_) return;
-      token = queue_.front();
-      queue_.pop_front();
-      auto it = requests_.find(token);
-      if (it == requests_.end()) continue;
-      it->second.state = SrmState::Staging;
-    }
-    state_changed_.notify_all();
-
-    // The staging copy (and its simulated tape latency) runs unlocked.
-    std::string logical_path;
-    {
-      util::LockGuard lock(mutex_);
-      logical_path = requests_[token].logical_path;
-    }
-    std::string cache_file;
-    std::string error;
-    try {
-      cache_file = storage_.stage_and_pin(logical_path);
-    } catch (const Error& e) {
-      error = e.what();
-    }
-
-    {
-      util::LockGuard lock(mutex_);
-      auto it = requests_.find(token);
-      if (it != requests_.end()) {
-        if (error.empty()) {
-          it->second.state = SrmState::Ready;
-          it->second.cache_file = cache_file;
-        } else {
-          it->second.state = SrmState::Failed;
-          it->second.error = error;
-        }
-      }
-    }
-    state_changed_.notify_all();
-  }
+  task::Record record;
+  record.fields.set("logical_path", logical_path);
+  record.fields.set("cache_file", std::string());
+  record.fields.set("released", false);
+  return engine_.submit(kind_, std::move(record), stage_step(storage_));
 }
 
 SrmRequest SrmService::status(const std::string& token) const {
-  util::LockGuard lock(mutex_);
-  auto it = requests_.find(token);
-  if (it == requests_.end()) throw NotFoundError("unknown SRM token");
-  return it->second;
+  return to_request(engine_.get(kind_, token, kAnyone));
 }
 
 SrmRequest SrmService::wait(const std::string& token, int timeout_ms) {
-  util::UniqueLock lock(mutex_);
-  auto deadline = std::chrono::steady_clock::now() +
-                  std::chrono::milliseconds(timeout_ms);
-  for (;;) {
-    auto it = requests_.find(token);
-    if (it == requests_.end()) throw NotFoundError("unknown SRM token");
-    if (it->second.state != SrmState::Queued &&
-        it->second.state != SrmState::Staging) {
-      return it->second;
-    }
-    if (state_changed_.wait_until(lock, deadline) == std::cv_status::timeout) {
-      it = requests_.find(token);
-      if (it != requests_.end() && it->second.state != SrmState::Queued &&
-          it->second.state != SrmState::Staging) {
-        return it->second;
-      }
-      throw SystemError("SRM request did not complete in time");
-    }
-  }
+  return to_request(engine_.wait(kind_, token, kAnyone, timeout_ms));
 }
 
 void SrmService::release(const std::string& token) {
-  std::string logical_path;
-  {
-    util::LockGuard lock(mutex_);
-    auto it = requests_.find(token);
-    if (it == requests_.end()) throw NotFoundError("unknown SRM token");
-    if (it->second.state == SrmState::Released) return;
-    if (it->second.state != SrmState::Ready) {
+  std::string unpin;
+  engine_.update(kind_, token, kAnyone, [&](task::Record& record) {
+    SrmState state = to_request(record).state;
+    if (state == SrmState::Released) return;
+    if (state != SrmState::Ready) {
       throw Error("cannot release a request in state " +
-                  std::string(to_string(it->second.state)));
+                  std::string(to_string(state)));
     }
-    it->second.state = SrmState::Released;
-    logical_path = it->second.logical_path;
-  }
-  storage_.unpin(logical_path);
-  state_changed_.notify_all();
+    record.fields.set("released", true);
+    unpin = record.fields.at("logical_path").as_string();
+  });
+  if (!unpin.empty()) storage_.unpin(unpin);
 }
 
 void SrmService::put(const std::string& logical_path, std::string_view data) {

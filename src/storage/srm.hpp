@@ -7,21 +7,21 @@
 // SRM's disk cache), and finally *releases* it so the pin is dropped.
 //
 // This module implements that request lifecycle on top of MassStorage:
-//   prepare_to_get -> token          (queued; a worker stages it)
+//   prepare_to_get -> token          (queued; a task stages it)
 //   status(token)  -> QUEUED | STAGING | READY(cache file) | FAILED(why)
 //   release(token) -> unpin
-// plus write-through put and namespace listing.
+// plus write-through put and namespace listing. Requests are tasks on a
+// task::Engine of the service's own over an in-memory store, so a restart
+// drops them (the pins they held die with the process too).
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
+#include "db/store.hpp"
 #include "storage/mass_storage.hpp"
-#include "util/sync.hpp"
+#include "task/engine.hpp"
 
 namespace clarens::storage {
 
@@ -42,7 +42,6 @@ class SrmService {
  public:
   /// `workers`: concurrent staging streams (tape drives).
   explicit SrmService(MassStorage& storage, int workers = 2);
-  ~SrmService();
 
   SrmService(const SrmService&) = delete;
   SrmService& operator=(const SrmService&) = delete;
@@ -69,18 +68,10 @@ class SrmService {
   MassStorage& storage() { return storage_; }
 
  private:
-  void worker_loop();
-
   MassStorage& storage_;
-  /// Request-table lock; never held across staging (`storage.mass`
-  /// locking is independent — workers stage unlocked).
-  mutable util::Mutex mutex_{util::LockLevel::kCoreSrm};
-  util::CondVar work_available_;
-  util::CondVar state_changed_;
-  std::map<std::string, SrmRequest> requests_ CLARENS_GUARDED_BY(mutex_);
-  std::deque<std::string> queue_ CLARENS_GUARDED_BY(mutex_);
-  bool stopping_ CLARENS_GUARDED_BY(mutex_) = false;
-  std::vector<util::Thread> workers_;  // written once in the constructor
+  db::Store requests_;  // in memory: requests do not outlive the process
+  const task::Kind kind_;
+  task::Engine engine_;  // after the store: its steps finish first
 };
 
 }  // namespace clarens::storage

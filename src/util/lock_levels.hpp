@@ -34,11 +34,8 @@
   X(kBaselineHeavygrid, "baseline.heavygrid", 20,                             \
     "HeavyGrid per-connection thread table")                                  \
   X(kCoreAclShard, "core.acl.shard", 20, "compiled method-ACL cache shard")   \
-  X(kCoreJob, "core.job", 20, "job table + queue")                            \
   X(kCoreMessage, "core.message", 20, "mailbox table")                        \
   X(kCoreShell, "core.shell", 20, "shell session table")                      \
-  X(kCoreSrm, "core.srm", 20, "SRM request table")                            \
-  X(kCoreTransfer, "core.transfer", 20, "transfer table + queue")             \
   X(kCoreVoRootCache, "core.vo.root_cache", 20,                               \
     "compiled root-admins cache (nests under core.vo.write via "             \
     "SameRankToken)")                                                         \
@@ -49,6 +46,8 @@
     "peer call)")                                                             \
   X(kFederationRouter, "federation.router", 20,                               \
     "placement ring + refresh stopwatch")                                     \
+  X(kTaskEngine, "task.engine", 20,                                           \
+    "task records + queued steps (jobs, transfers, SRM staging)")            \
   X(kFederationLayout, "federation.layout", 22,                               \
     "layout-table read-modify-write serialization (nests over db.store)")     \
   X(kDiscoveryPublisher, "discovery.publisher", 25,                           \

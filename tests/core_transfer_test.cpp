@@ -1,6 +1,7 @@
-// Tests for third-party transfers: URL parsing, the full delegated pull
-// between two live servers (source read ACL + destination write ACL both
-// enforced against the user), MD5 verification, and failure modes.
+// Tests for third-party transfers: the full delegated pull between two
+// live servers (source read ACL + destination write ACL both enforced
+// against the user), MD5 verification, failure modes, and the restart
+// rule. Source URL parsing is client::PeerEndpoint's (federation_test).
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -19,23 +20,6 @@ namespace {
 
 using clarens::testing::TempDir;
 using clarens::testing::TestPki;
-
-TEST(TransferUrl, Parsing) {
-  std::string host;
-  std::uint16_t port = 0;
-  bool tls = false;
-  parse_server_url("http://10.0.0.1:8080", host, port, tls);
-  EXPECT_EQ(host, "10.0.0.1");
-  EXPECT_EQ(port, 8080);
-  EXPECT_FALSE(tls);
-  parse_server_url("https://grid.example.org:8443/clarens", host, port, tls);
-  EXPECT_EQ(host, "grid.example.org");
-  EXPECT_EQ(port, 8443);
-  EXPECT_TRUE(tls);
-  EXPECT_THROW(parse_server_url("ftp://x:1", host, port, tls), ParseError);
-  EXPECT_THROW(parse_server_url("http://noport", host, port, tls), ParseError);
-  EXPECT_THROW(parse_server_url("http://:8080", host, port, tls), ParseError);
-}
 
 struct TwoSites {
   const TestPki& pki = TestPki::instance();
@@ -211,6 +195,32 @@ TEST(Transfer, OwnershipIsolation) {
           id, sites.pki.alice.certificate.subject()),
       AccessError);
   sites.dest->transfers().wait(id, pki::DistinguishedName::parse(sites.bob_dn));
+}
+
+TEST(TransferRecovery, OrphanedTransfersFailOnRestart) {
+  TempDir tmp;
+  const std::string data_dir = tmp.sub("db");
+  {
+    // Forge a transfer record stuck in RUNNING (as if the server crashed).
+    db::Store store(data_dir);
+    store.put("transfers", "orphan1",
+              R"({"owner":"/O=g/OU=People/CN=Joe","source_host":"127.0.0.1",)"
+              R"("source_port":1,"source_tls":false,"source_path":"/data/x",)"
+              R"("dest_path":"/replica/x","state":"RUNNING","bytes":0,)"
+              R"("verified":false,"error":"","submitted":1,"finished":0})");
+    store.sync();
+  }
+
+  ClarensConfig config;
+  config.trust = TestPki::instance().trust;
+  config.data_dir = data_dir;
+  ClarensServer server(std::move(config));
+  // The delegated proxy died with the old server: no resume, a clear error.
+  Transfer t = server.transfers().wait(
+      "orphan1", pki::DistinguishedName::parse("/O=g/OU=People/CN=Joe"), 1000);
+  EXPECT_EQ(t.state, TransferState::Failed);
+  EXPECT_EQ(t.error, "interrupted by server restart; resubmit");
+  EXPECT_GT(t.finished, 0);
 }
 
 }  // namespace

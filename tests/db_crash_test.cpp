@@ -15,6 +15,10 @@
 // Pipe writes are single writev-style ::write calls well under PIPE_BUF,
 // so lines arrive atomically even though the writer dies mid-flight.
 //
+// The task engine keeps its records in this store; two tests kill a
+// server mid-task and check that each restart rule ends both tasks — one
+// RUNNING, one QUEUED — in its declared state.
+//
 // A final test injects disk-full (RLIMIT_FSIZE, SIGXFSZ ignored) and
 // asserts the store surfaces store-unavailable instead of acking writes
 // it can no longer journal.
@@ -30,6 +34,7 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <latch>
 #include <map>
 #include <sstream>
 #include <string>
@@ -37,6 +42,7 @@
 #include <vector>
 
 #include "db/store.hpp"
+#include "task/engine.hpp"
 #include "test_fixtures.hpp"
 #include "util/error.hpp"
 #include "util/sync.hpp"
@@ -57,9 +63,20 @@ void report(int fd, char op, const std::string& key) {
   (void)::write(fd, line.data(), line.size());
 }
 
-/// Drain the read side into (op, key) pairs. Later reports win.
-std::map<std::string, char> drain_reports(int fd) {
-  std::string all;
+/// Read until a line reporting `op` has arrived (or EOF), into `all`.
+void read_until(int fd, char op, std::string& all) {
+  const std::string marker = std::string("\n") + op + ' ';
+  char buf[4096];
+  ssize_t n;
+  while (("\n" + all).find(marker) == std::string::npos &&
+         (n = ::read(fd, buf, sizeof(buf))) > 0) {
+    all.append(buf, n);
+  }
+}
+
+/// Drain the read side, after what `all` already holds, into (op, key)
+/// pairs. Later reports win.
+std::map<std::string, char> drain_reports(int fd, std::string all = {}) {
   char buf[4096];
   ssize_t n;
   while ((n = ::read(fd, buf, sizeof(buf))) > 0) all.append(buf, n);
@@ -73,13 +90,15 @@ std::map<std::string, char> drain_reports(int fd) {
   return settled;
 }
 
-/// Fork `child`, kill it with SIGKILL after `delay_ms`, return its
-/// settled reports. The child must never exit on its own (it loops until
-/// killed), so a normal exit is a test failure.
+/// Fork `child`, kill it with SIGKILL after `delay_ms` — or, when `until`
+/// is set, as soon as it reports that op — and return its settled
+/// reports. The child must never exit on its own (it loops until killed),
+/// so a normal exit is a test failure.
 std::map<std::string, char> run_and_kill(const std::string& dir,
                                          int delay_ms,
                                          void (*child)(const std::string&,
-                                                       int)) {
+                                                       int),
+                                         char until = 0) {
   int pipe_fds[2];
   if (::pipe(pipe_fds) != 0) ADD_FAILURE() << "pipe failed";
   pid_t pid = ::fork();
@@ -89,13 +108,18 @@ std::map<std::string, char> run_and_kill(const std::string& dir,
     _exit(0);  // not reached: children loop until SIGKILLed
   }
   ::close(pipe_fds[1]);
-  std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
+  std::string seen;
+  if (until != 0) {
+    read_until(pipe_fds[0], until, seen);
+  } else {
+    std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
+  }
   ::kill(pid, SIGKILL);
   int status = 0;
   ::waitpid(pid, &status, 0);
   EXPECT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL)
       << "child exited on its own instead of being killed";
-  auto settled = drain_reports(pipe_fds[0]);
+  auto settled = drain_reports(pipe_fds[0], std::move(seen));
   ::close(pipe_fds[0]);
   return settled;
 }
@@ -261,6 +285,88 @@ TEST(StoreCrashRecovery, RecoveredStoreEqualsChildView) {
     if (op == 'P') {
       EXPECT_TRUE(first_view.count(key));
     }
+  }
+}
+
+// --- task engine restart -------------------------------------------------
+
+const std::string kTaskOwner = "/O=g/CN=Owner";
+
+task::Kind task_kind(task::Restart restart) {
+  return {.table = "tasks",
+          .noun = "task",
+          .restart = restart,
+          .resume = [](const task::Record&) -> task::Step {
+            return [](task::Record&) { return true; };
+          }};
+}
+
+/// One engine thread: the first task's step parks forever, the second
+/// task waits behind it. Reports "R id" and "Q id", then — once both
+/// records are on disk — "S running".
+void task_child(const std::string& dir, int fd) {
+  Store store(dir);
+  task::Engine engine(store, 1);
+  task::Kind kind = task_kind(task::Restart::Fail);
+  task::Record record;
+  record.owner = kTaskOwner;
+  std::latch submitted(1);
+  std::string running = engine.submit(kind, record, [&](task::Record&) {
+    submitted.wait();
+    store.sync();
+    report(fd, 'S', "running");
+    for (;;) std::this_thread::sleep_for(std::chrono::seconds(1));
+    return true;
+  });
+  std::string queued =
+      engine.submit(kind, record, [](task::Record&) { return true; });
+  report(fd, 'R', running);
+  report(fd, 'Q', queued);
+  submitted.count_down();
+  for (;;) std::this_thread::sleep_for(std::chrono::seconds(1));
+}
+
+/// Kills a task_child mid-task; returns the ids of its RUNNING and QUEUED
+/// tasks, in that order.
+std::vector<std::string> kill_mid_task(const std::string& dir) {
+  auto settled = run_and_kill(dir, 0, task_child, 'S');
+  std::vector<std::string> ids(2);
+  for (const auto& [id, op] : settled) {
+    if (op == 'R') ids[0] = id;
+    if (op == 'Q') ids[1] = id;
+  }
+  EXPECT_FALSE(ids[0].empty() || ids[1].empty()) << "child reported no tasks";
+  return ids;
+}
+
+TEST(TaskEngineCrash, RequeueKindRunsRunningAndQueuedTasksToDone) {
+  TempDir tmp;
+  task::Kind kind = task_kind(task::Restart::Requeue);
+  auto ids = kill_mid_task(tmp.path());
+  Store store(tmp.path());
+  task::Engine engine(store, 2);
+  EXPECT_EQ(engine.get(kind, ids[0], kTaskOwner).state, task::State::Running);
+  EXPECT_EQ(engine.get(kind, ids[1], kTaskOwner).state, task::State::Queued);
+  engine.declare(kind);
+  for (const auto& id : ids) {
+    EXPECT_EQ(engine.wait(kind, id, kTaskOwner, 5000).state,
+              task::State::Done);
+  }
+}
+
+TEST(TaskEngineCrash, FailKindFailsRunningAndQueuedTasks) {
+  TempDir tmp;
+  task::Kind kind = task_kind(task::Restart::Fail);
+  auto ids = kill_mid_task(tmp.path());
+  Store store(tmp.path());
+  task::Engine engine(store, 2);
+  EXPECT_EQ(engine.get(kind, ids[0], kTaskOwner).state, task::State::Running);
+  EXPECT_EQ(engine.get(kind, ids[1], kTaskOwner).state, task::State::Queued);
+  engine.declare(kind);
+  for (const auto& id : ids) {
+    task::Record record = engine.wait(kind, id, kTaskOwner, 5000);
+    EXPECT_EQ(record.state, task::State::Failed);
+    EXPECT_EQ(record.error, task::kInterrupted);
   }
 }
 

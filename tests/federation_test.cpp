@@ -300,8 +300,20 @@ TEST(PeerEndpoint, ParsesAndRejects) {
       "https://node.example.org:443");
   EXPECT_TRUE(https.tls);
   EXPECT_EQ(https.host, "node.example.org");
+  EXPECT_EQ(https.port, 443);
+  client::PeerEndpoint stripped = client::PeerEndpoint::parse(
+      "https://grid.example.org:8443/clarens");
+  EXPECT_EQ(stripped.host, "grid.example.org");
+  EXPECT_EQ(stripped.port, 8443);
+  EXPECT_EQ(client::PeerEndpoint::parse("http://h:1").port, 1);
+  EXPECT_EQ(client::PeerEndpoint::parse("http://h:65535").port, 65535);
   EXPECT_THROW(client::PeerEndpoint::parse("ftp://x:1"), ParseError);
   EXPECT_THROW(client::PeerEndpoint::parse("http://nohost"), ParseError);
+  EXPECT_THROW(client::PeerEndpoint::parse("http://:8080"), ParseError);
+  // Out-of-range ports are refused, not wrapped (70000 would be 4464).
+  EXPECT_THROW(client::PeerEndpoint::parse("http://h:0"), ParseError);
+  EXPECT_THROW(client::PeerEndpoint::parse("http://h:65536"), ParseError);
+  EXPECT_THROW(client::PeerEndpoint::parse("http://h:70000"), ParseError);
 }
 
 TEST(PeerPool, LeaseReturnsAndDiscards) {

@@ -42,7 +42,7 @@ TEST(LintRawSync, FlagsRawPrimitives) {
 
 TEST(LintRawSync, WrapperAndNestedTypesPass) {
   EXPECT_TRUE(lint_content("src/core/x.cpp",
-                           "util::Mutex m{util::LockLevel::kCoreJob};\n"
+                           "util::Mutex m{util::LockLevel::kTaskEngine};\n"
                            "util::Thread t;\n"
                            "std::thread::id tid;\n"
                            "std::thread::hardware_concurrency();\n")
@@ -206,13 +206,13 @@ TEST(LintRawNew, PlacementDeletedAndOperatorPass) {
 
 TEST(LintLockOrder, DeclaredEdgePasses) {
   EXPECT_TRUE(
-      lint_content("src/core/x.cpp", "// lock-order: core.job -> db.store.shard\n")
+      lint_content("src/core/x.cpp", "// lock-order: task.engine -> db.store.shard\n")
           .empty());
 }
 
 TEST(LintLockOrder, InvertedEdgeFlagged) {
   EXPECT_TRUE(has_rule(
-      lint_content("src/core/x.cpp", "// lock-order: db.store.shard -> core.job\n"),
+      lint_content("src/core/x.cpp", "// lock-order: db.store.shard -> task.engine\n"),
       "lock-order"));
 }
 
@@ -220,19 +220,19 @@ TEST(LintLockOrder, SameRankFlagged) {
   // Two level-20 locks: neither may nest inside the other.
   EXPECT_TRUE(has_rule(
       lint_content("src/core/x.cpp",
-                   "// lock-order: core.job -> core.transfer\n"),
+                   "// lock-order: task.engine -> core.shell\n"),
       "lock-order"));
 }
 
 TEST(LintLockOrder, UnknownLevelFlagged) {
   EXPECT_TRUE(has_rule(
-      lint_content("src/core/x.cpp", "// lock-order: core.job -> bogus\n"),
+      lint_content("src/core/x.cpp", "// lock-order: task.engine -> bogus\n"),
       "lock-order"));
 }
 
 TEST(LintLockOrder, MalformedFlagged) {
   EXPECT_TRUE(has_rule(lint_content("src/core/x.cpp",
-                                    "// lock-order: core.job db.store.shard\n"),
+                                    "// lock-order: task.engine db.store.shard\n"),
                        "lock-order"));
 }
 
@@ -331,7 +331,7 @@ TEST(LintLockOrder, SameRankTagAcceptedWhenRanksMatch) {
   // ...and rejected when they differ.
   EXPECT_TRUE(has_rule(
       lint_content("src/core/x.cpp",
-                   "// lock-order: core.job -> db.store.shard (same-rank)\n"),
+                   "// lock-order: task.engine -> db.store.shard (same-rank)\n"),
       "lock-order"));
 }
 
@@ -352,7 +352,7 @@ TEST(LintUndeclaredMutex, FlagsLevellessDeclarations) {
 
 TEST(LintUndeclaredMutex, RankedDeclarationAndReferencesPass) {
   EXPECT_TRUE(lint_content("src/core/x.hpp",
-                           "util::Mutex m{util::LockLevel::kCoreJob};\n"
+                           "util::Mutex m{util::LockLevel::kTaskEngine};\n"
                            "mutable util::SharedMutex sm{\n"
                            "    util::LockLevel::kDbStoreShard};\n"
                            "void take(util::Mutex& m);\n"
@@ -364,9 +364,9 @@ TEST(LintUndeclaredMutex, RankedDeclarationAndReferencesPass) {
 
 namespace {
 constexpr const char* kTwoLevelDecls =
-    "util::Mutex job_{util::LockLevel::kCoreJob};\n"
+    "util::Mutex job_{util::LockLevel::kTaskEngine};\n"
     "util::Mutex shard_{util::LockLevel::kDbStoreShard};\n"
-    "util::Mutex transfer_{util::LockLevel::kCoreTransfer};\n";
+    "util::Mutex transfer_{util::LockLevel::kCoreShell};\n";
 }  // namespace
 
 TEST(LintDerivedEdges, DownwardNestingPasses) {
@@ -520,19 +520,19 @@ TEST(LintLockCycle, ThreeNodeCommentCycleAcrossFiles) {
   // deadlock in combination.
   std::vector<SourceFile> files = {
       {"src/core/a.cpp",
-       "// lock-order: core.job -> core.transfer (same-rank)\n"},
+       "// lock-order: task.engine -> core.shell (same-rank)\n"},
       {"src/core/b.cpp",
-       "// lock-order: core.transfer -> core.message (same-rank)\n"},
+       "// lock-order: core.shell -> core.message (same-rank)\n"},
       {"src/core/c.cpp",
-       "// lock-order: core.message -> core.job (same-rank)\n"},
+       "// lock-order: core.message -> task.engine (same-rank)\n"},
   };
   auto found = lint_sources(files);
   ASSERT_TRUE(has_rule(found, "lock-cycle"));
   for (const auto& violation : found) {
     if (violation.rule != "lock-cycle") continue;
     // The report names the full chain with one site per edge.
-    EXPECT_NE(violation.message.find("core.job"), std::string::npos);
-    EXPECT_NE(violation.message.find("core.transfer"), std::string::npos);
+    EXPECT_NE(violation.message.find("task.engine"), std::string::npos);
+    EXPECT_NE(violation.message.find("core.shell"), std::string::npos);
     EXPECT_NE(violation.message.find("core.message"), std::string::npos);
     EXPECT_NE(violation.message.find("src/core/a.cpp:1"), std::string::npos);
   }
@@ -540,7 +540,7 @@ TEST(LintLockCycle, ThreeNodeCommentCycleAcrossFiles) {
 
 TEST(LintLockCycle, AcyclicGraphPasses) {
   std::vector<SourceFile> files = {
-      {"src/core/a.cpp", "// lock-order: core.job -> db.store.shard\n"},
+      {"src/core/a.cpp", "// lock-order: task.engine -> db.store.shard\n"},
       {"src/core/b.cpp",
        "// lock-order: db.store.shard -> db.store.journal\n"},
   };

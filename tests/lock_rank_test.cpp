@@ -17,7 +17,7 @@ TEST(LockRankDeathTest, AbortsOnInvertedAcquisition) {
   EXPECT_DEATH(
       {
         Mutex inner{LockLevel::kDbStoreJournal};
-        Mutex outer{LockLevel::kCoreJob};
+        Mutex outer{LockLevel::kTaskEngine};
         LockGuard hold(inner);
         // clarens-lint: allow(lock-order): deliberate inversion under EXPECT_DEATH
         LockGuard up(outer);  // rank 20 while holding rank 50
@@ -29,8 +29,8 @@ TEST(LockRankDeathTest, AbortsOnSameRankWithoutToken) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
       {
-        Mutex a{LockLevel::kCoreJob};
-        Mutex b{LockLevel::kCoreTransfer};  // also rank 20
+        Mutex a{LockLevel::kTaskEngine};
+        Mutex b{LockLevel::kCoreShell};  // also rank 20
         LockGuard ga(a);
         // clarens-lint: allow(lock-order): deliberate inversion under EXPECT_DEATH
         LockGuard gb(b);  // sideways without a SameRankToken
@@ -42,7 +42,7 @@ TEST(LockRankDeathTest, AbortsOnRecursiveAcquisition) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
       {
-        Mutex m{LockLevel::kCoreJob};
+        Mutex m{LockLevel::kTaskEngine};
         LockGuard first(m);
         // clarens-lint: allow(lock-order): deliberate inversion under EXPECT_DEATH
         LockGuard second(m);  // self-deadlock caught before blocking
@@ -55,7 +55,7 @@ TEST(LockRankDeathTest, SharedLockRanksLikeExclusive) {
   EXPECT_DEATH(
       {
         SharedMutex shard{LockLevel::kDbStoreShard};
-        Mutex job{LockLevel::kCoreJob};
+        Mutex job{LockLevel::kTaskEngine};
         ReadLock read(shard);
         // clarens-lint: allow(lock-order): deliberate inversion under EXPECT_DEATH
         LockGuard up(job);  // upward from a shared hold still aborts
@@ -64,7 +64,7 @@ TEST(LockRankDeathTest, SharedLockRanksLikeExclusive) {
 }
 
 TEST(LockRank, LegalDownwardChainIsSilent) {
-  Mutex job{LockLevel::kCoreJob};
+  Mutex job{LockLevel::kTaskEngine};
   SharedMutex shard{LockLevel::kDbStoreShard};
   Mutex journal{LockLevel::kDbStoreJournal};
   {
@@ -85,7 +85,7 @@ TEST(LockRank, SameRankTokenPermitsSidewaysNesting) {
 }
 
 TEST(LockRank, OutOfOrderReleaseKeepsStackConsistent) {
-  Mutex job{LockLevel::kCoreJob};
+  Mutex job{LockLevel::kTaskEngine};
   Mutex journal{LockLevel::kDbStoreJournal};
   Mutex logging{LockLevel::kUtilLogging};
   job.lock();

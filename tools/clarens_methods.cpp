@@ -42,8 +42,6 @@ std::string generated_table() {
 
   clarens::core::ClarensConfig config;
   config.sandbox_base = (scratch / "sandbox").string();
-  config.transfer_workers = 1;
-  config.job_workers = 1;
   config.session_reap_interval_s = 0;
   // Head role so the federation layer registers too: the federated
   // file.* variants replace the standalone bindings in the table, and

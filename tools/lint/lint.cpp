@@ -400,8 +400,9 @@ void check_reactor_blocking(const std::string& path,
 
 void check_layering(const std::string& path, const std::vector<LineInfo>& lines,
                     std::vector<Violation>& out) {
-  // Two scoped cases:
+  // Three scoped cases:
   //  * rpc/ and util/ sit below http/ and core/ and may include neither;
+  //  * task/ sits below core/ and storage/, which both declare task kinds;
   //  * federation/ sits beside core/ (it depends on client, discovery
   //    and rpc) and must never reach into core internals — the head's
   //    method bindings in core depend on federation, not the reverse.
@@ -418,6 +419,10 @@ void check_layering(const std::string& path, const std::vector<LineInfo>& lines,
       {"util",
        {"core/", "http/"},
        "dependency direction is util <- rpc <- http <- core; this layer "
+       "must not include "},
+      {"task",
+       {"core/", "http/", "storage/"},
+       "task/ sits below the services that declare task kinds; this layer "
        "must not include "},
       {"federation",
        {"core/"},
