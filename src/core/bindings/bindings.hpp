@@ -15,6 +15,12 @@
 #include "pki/dn.hpp"
 #include "rpc/registry.hpp"
 
+namespace clarens::client {
+class PeerPool;
+}
+namespace clarens::crypto {
+class HmacSha256;
+}
 namespace clarens::discovery {
 class DiscoveryServer;
 }
@@ -72,6 +78,14 @@ using CommitHook =
 
 void register_file_methods(FileService& files, rpc::Registry& registry,
                            CommitHook on_commit = {});
+/// Storage role only: file.pull, the replica copy primitive. The target
+/// node fetches `path` from another storage node through `peers`,
+/// presenting a source ticket that must verify under `ticket_key`, be
+/// read-only, name the caller and cover `path`. The bytes land through
+/// FileService directly, so no commit notification fires.
+void register_pull_method(FileService& files,
+                          const crypto::HmacSha256& ticket_key,
+                          client::PeerPool& peers, rpc::Registry& registry);
 void register_shell_methods(ShellService& shell, rpc::Registry& registry);
 void register_job_methods(JobService& jobs, rpc::Registry& registry);
 void register_proxy_methods(ProxyService& proxy, rpc::Registry& registry);

@@ -1,8 +1,12 @@
 // file.* — remote file access under virtual roots (paper §2.3).
 #include "core/bindings/bindings.hpp"
 
+#include <optional>
+
+#include "client/peer_pool.hpp"
 #include "core/file_service.hpp"
 #include "federation/node_ticket.hpp"
+#include "util/clock.hpp"
 #include "util/error.hpp"
 
 namespace clarens::core::bindings {
@@ -38,14 +42,11 @@ void register_file_methods(FileService& files, rpc::Registry& registry,
   // the replicated writes a storage node executes on the head's behalf,
   // and the hook's job is to report the landed bytes back to the head's
   // layout table. Session-authenticated (local/standalone) writes have
-  // no layout entry to confirm.
-  // Repair-engine copies (context.replication) are excluded: the head's
-  // replicator already knows the bytes it is landing, per-chunk
-  // notifications would carry partial-content hashes, and a synchronous
-  // notify-back can deadlock a single-worker head<->storage pair.
+  // no layout entry to confirm. Replica copies land through file.pull,
+  // which bypasses this hook: the head already knows their checksum.
   auto committed = [on_commit](const rpc::CallContext& context,
                                const std::string& path) {
-    if (on_commit && context.via_ticket && !context.replication) {
+    if (on_commit && context.via_ticket) {
       on_commit(context, path);
     }
   };
@@ -178,6 +179,54 @@ void register_file_methods(FileService& files, rpc::Registry& registry,
   registry.bind(
       "file.roots", [f] { return f->roots(); },
       {.help = "Configured virtual root prefixes"});
+}
+
+void register_pull_method(FileService& files,
+                          const crypto::HmacSha256& ticket_key,
+                          client::PeerPool& peers, rpc::Registry& registry) {
+  FileService* f = &files;
+  registry.bind(
+      "file.pull",
+      [f, &ticket_key, &peers](
+          const rpc::CallContext& context, const std::string& source_url,
+          const std::string& source_ticket, const std::string& path,
+          const std::string& expected_md5) {
+        if (!context.via_ticket) {
+          throw AccessError("file.pull needs a node ticket");
+        }
+        check_ticket(context, path, /*write=*/true);
+        // Only a head-minted read ticket for this caller and this path is
+        // ever presented to the source, and it is checked before any
+        // connection is made.
+        std::optional<federation::NodeTicket> source =
+            federation::NodeTicket::verify(ticket_key, source_ticket,
+                                           util::unix_now());
+        if (!source || source->write || source->dn != context.identity ||
+            !source->covers(path)) {
+          throw AccessError("source ticket is not a read ticket for " + path);
+        }
+        pki::DistinguishedName who = caller_dn(context);
+        // Create the parent only where the ticket reaches; elsewhere it
+        // must already exist.
+        std::string parent = path.substr(0, path.rfind('/'));
+        if (!parent.empty() && federation::NodeTicket::scope_covers(
+                                   context.ticket_scope, parent)) {
+          f->mkdir(parent, who);
+        }
+        client::PeerPool::Lease lease = peers.lease(source_url);
+        lease->set_header("X-Clarens-Node-Ticket", source_ticket);
+        std::int64_t copied = 0;
+        try {
+          f->pull(*lease, path, path, expected_md5, who, copied);
+        } catch (const SystemError&) {
+          lease.discard();
+          throw;
+        }
+        return copied;
+      },
+      {.help = "Copy a file from another storage node, verifying its md5",
+       .params = {"source_url", "source_ticket", "path", "expected_md5"},
+       .acl_path = "file.write"});
 }
 
 }  // namespace clarens::core::bindings

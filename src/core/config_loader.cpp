@@ -241,13 +241,6 @@ ClarensConfig config_from(const util::Config& config) {
         "replication_retry_max_ms must be in [replication_retry_base_ms, "
         "600000]");
   }
-  out.replication_chunk =
-      config.get_int_or("replication_chunk", out.replication_chunk);
-  if (out.replication_chunk < 4096 ||
-      out.replication_chunk > out.max_read_chunk) {
-    throw ParseError(
-        "replication_chunk must be in [4096, max_read_chunk]");
-  }
   out.fsck_interval_ms = static_cast<int>(
       config.get_int_or("fsck_interval_ms", out.fsck_interval_ms));
   if (out.fsck_interval_ms < 0 || out.fsck_interval_ms > 86400000) {

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <filesystem>
 
+#include "client/client.hpp"
 #include "crypto/md5.hpp"
 #include "net/socket.hpp"
 #include "util/error.hpp"
@@ -400,6 +401,29 @@ void FileService::append(const std::string& path,
   bool ok = write_fully(fd.get(), data);
   if (int error = close_after_write(std::move(fd), ok)) {
     throw SystemError("append failed: '" + path + "': " + std::strerror(error));
+  }
+}
+
+void FileService::pull(client::ClarensClient& source,
+                       const std::string& source_path, const std::string& path,
+                       const std::string& expected_md5,
+                       const pki::DistinguishedName& who,
+                       std::int64_t& copied) const {
+  const std::int64_t chunk = std::min(kPullChunk, max_read_chunk_);
+  copied = 0;
+  for (;;) {
+    std::vector<std::uint8_t> block =
+        source.file_read(source_path, copied, chunk);
+    if (copied == 0) {
+      write(path, block, who);
+    } else if (!block.empty()) {
+      append(path, block, who);
+    }
+    copied += static_cast<std::int64_t>(block.size());
+    if (static_cast<std::int64_t>(block.size()) < chunk) break;
+  }
+  if (md5(path, who) != expected_md5) {
+    throw Error("md5 mismatch after transfer");
   }
 }
 

@@ -18,6 +18,10 @@
 #include "core/acl.hpp"
 #include "pki/dn.hpp"
 
+namespace clarens::client {
+class ClarensClient;
+}
+
 namespace clarens::core {
 
 struct FileStat {
@@ -124,6 +128,17 @@ class FileService {
   /// the transfer service streams through; requires write ACL.
   void append(const std::string& path, std::span<const std::uint8_t> data,
               const pki::DistinguishedName& who) const;
+
+  /// Copy `source_path` from another Clarens server into `path`: the
+  /// first chunk is written, the rest appended, in chunks of
+  /// min(kPullChunk, max_read_chunk) read over `source` until a short
+  /// chunk. Throws unless the landed file's md5 equals `expected_md5`.
+  /// The one copy loop behind transfer.* and file.pull. `copied` counts
+  /// the bytes landed, also when the copy throws.
+  void pull(client::ClarensClient& source, const std::string& source_path,
+            const std::string& path, const std::string& expected_md5,
+            const pki::DistinguishedName& who, std::int64_t& copied) const;
+  static constexpr std::int64_t kPullChunk = 1 << 20;
 
   void mkdir(const std::string& path, const pki::DistinguishedName& who) const;
 

@@ -23,7 +23,6 @@ namespace {
 
 constexpr const char* kSessionHeader = "X-Clarens-Session";
 constexpr const char* kNodeTicketHeader = "X-Clarens-Node-Ticket";
-constexpr const char* kReplicationHeader = "X-Clarens-Replication";
 constexpr std::size_t kTaskThreads = 2;
 
 // Minimal browser portal (paper §3): a static page whose JavaScript would
@@ -101,14 +100,14 @@ ClarensServer::ClarensServer(ClarensConfig config)
     acl_->set_file_acl(path, facl);
   }
 
-  if (config_.node_role == NodeRole::Storage && !config_.head_url.empty() &&
+  if (config_.node_role == NodeRole::Storage &&
       !config_.node_ticket_secret.empty()) {
-    // Commit notifications ride the same plaintext JSON-RPC peer channel
-    // the head uses toward storage nodes (the trust boundary is the node
-    // ticket, not the transport).
+    // Commit notifications and replica pulls ride the same plaintext
+    // JSON-RPC peer channel the head uses toward storage nodes (the trust
+    // boundary is the node ticket, not the transport).
     client::ClientOptions base;
     base.protocol = rpc::Protocol::JsonRpc;
-    head_pool_ = std::make_unique<client::PeerPool>(std::move(base));
+    peers_ = std::make_unique<client::PeerPool>(std::move(base));
   }
 
   register_core_methods();
@@ -128,6 +127,9 @@ void ClarensServer::register_core_methods() {
       [this](const rpc::CallContext& context, const std::string& path) {
         notify_commit(context, path);
       });
+  if (peers_) {
+    bindings::register_pull_method(*files_, ticket_key_, *peers_, registry_);
+  }
   if (shell_) bindings::register_shell_methods(*shell_, registry_);
   if (jobs_) bindings::register_job_methods(*jobs_, registry_);
   bindings::register_proxy_methods(*proxy_, registry_);
@@ -156,14 +158,12 @@ void ClarensServer::attach_discovery(discovery::DiscoveryServer& discovery) {
     layouts_ = std::make_unique<federation::LayoutTable>(*store_);
     federation::ReplicatorOptions ropts;
     ropts.replicas = config_.placement_replicas;
-    ropts.retry_max = config_.replication_retry_max;
-    ropts.retry_base_ms = config_.replication_retry_base_ms;
-    ropts.retry_max_ms = config_.replication_retry_max_ms;
+    ropts.retry.max_attempts = config_.replication_retry_max;
+    ropts.retry.base_ms = config_.replication_retry_base_ms;
+    ropts.retry.max_ms = config_.replication_retry_max_ms;
     ropts.node_grace_ms = config_.replication_grace_ms;
     ropts.suspect_ttl_ms = config_.replica_suspect_ttl_ms;
     ropts.fsck_interval_ms = config_.fsck_interval_ms;
-    ropts.copy_chunk =
-        std::min(config_.replication_chunk, config_.max_read_chunk);
     // Poll membership fast enough to resolve the grace period, and sweep
     // for under-replication at least as often as nodes are declared gone.
     ropts.tick_ms = std::clamp(config_.replication_grace_ms / 4, 50, 250);
@@ -292,7 +292,7 @@ federation::NodeTicket ClarensServer::check_node_ticket(
 
 void ClarensServer::notify_commit(const rpc::CallContext& context,
                                   const std::string& path) {
-  if (!head_pool_) return;
+  if (!peers_ || config_.head_url.empty()) return;
   try {
     // Checksum what actually landed (streamed, bounded memory), then
     // report it under a self-minted node ticket: storage nodes hold the
@@ -314,7 +314,7 @@ void ClarensServer::notify_commit(const rpc::CallContext& context,
     commit_reports_.report(
         path, [&] { return files_->checksum(path, who); },
         [&](const FileService::FileChecksum& sum) {
-          client::PeerPool::Lease lease = head_pool_->lease(config_.head_url);
+          client::PeerPool::Lease lease = peers_->lease(config_.head_url);
           lease->set_header(kNodeTicketHeader, token);
           try {
             lease->call("replica.committed",
@@ -455,9 +455,6 @@ http::Response ClarensServer::handle_rpc(const http::Request& request,
       context.via_ticket = true;
       context.ticket_scope = ticket.scope;
       context.ticket_write = ticket.write;
-      const std::string* replication =
-          request.headers.find(kReplicationHeader);
-      context.replication = replication != nullptr && *replication == "1";
       check_acl(method->info.acl_path.empty() ? rpc_request.method
                                               : method->info.acl_path,
                 pki::DistinguishedName::parse(ticket.dn));

@@ -165,9 +165,6 @@ struct ClarensConfig {
   int replication_retry_max = 8;
   int replication_retry_base_ms = 100;
   int replication_retry_max_ms = 5000;
-  /// Bytes per hop when the repair engine copies a replica between
-  /// storage nodes; clamped to max_read_chunk at validation time.
-  std::int64_t replication_chunk = 1 * 1024 * 1024;
   /// Periodic fsck scrub cadence on the head; 0 = on demand only
   /// (replica.fsck).
   int fsck_interval_ms = 0;
@@ -285,8 +282,9 @@ class ClarensServer {
   std::unique_ptr<federation::Router> router_;
   std::unique_ptr<federation::LayoutTable> layouts_;
   std::unique_ptr<federation::Replicator> replicator_;
-  /// Storage role: keep-alive pool to the head for commit notifications.
-  std::unique_ptr<client::PeerPool> head_pool_;
+  /// Storage role: keep-alive peer pool for commit notifications to the
+  /// head and for file.pull fetches from other storage nodes.
+  std::unique_ptr<client::PeerPool> peers_;
   /// Storage role: orders the commit reports of concurrent writers.
   CommitReports commit_reports_;
   discovery::DiscoveryServer* discovery_ = nullptr;

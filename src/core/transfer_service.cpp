@@ -31,21 +31,10 @@ task::Step transfer_step(FileService& files, const pki::TrustStore& trust,
       source.connect();
       source.authenticate();
 
-      std::string remote_md5 = source.file_md5(source_path);
-
-      // Stream block by block; destination writes are ACL-checked as the
-      // owner. Start from a fresh destination file.
-      std::vector<std::uint8_t> empty;
-      files.write(dest_path, empty, owner);
-      for (;;) {
-        auto block = source.file_read(source_path, bytes,
-                                      TransferService::kBlockSize);
-        if (block.empty()) break;
-        files.append(dest_path, block, owner);
-        bytes += static_cast<std::int64_t>(block.size());
-      }
-      verified = files.md5(dest_path, owner) == remote_md5;
-      if (!verified) t.error = "md5 mismatch after transfer";
+      // Destination writes are ACL-checked as the owner.
+      files.pull(source, source_path, dest_path, source.file_md5(source_path),
+                 owner, bytes);
+      verified = true;
     } catch (const std::exception& e) {
       t.error = e.what();
     }

@@ -11,10 +11,11 @@
 // checks write access.
 //
 // Robustness: DB-backed transfer records, run as tasks on the server's
-// task::Engine; chunked streaming in bounded memory; post-transfer MD5
-// verification against the source's file.md5(). The delegated proxy lives
-// only in the queued task's step, never in the store, so a transfer a
-// restart interrupted ends FAILED and its owner resubmits it.
+// task::Engine; chunked streaming in bounded memory and post-transfer MD5
+// verification against the source's file.md5(), in FileService::pull.
+// The delegated proxy lives only in the queued task's step, never in the
+// store, so a transfer a restart interrupted ends FAILED and its owner
+// resubmits it.
 #pragma once
 
 #include <cstdint>
@@ -75,9 +76,6 @@ class TransferService {
 
   Transfer wait(const std::string& transfer_id,
                 const pki::DistinguishedName& who, int timeout_ms = 30000);
-
-  /// Streaming block size (bytes) for file.read pulls.
-  static constexpr std::int64_t kBlockSize = 1 << 20;
 
  private:
   task::Engine& engine_;

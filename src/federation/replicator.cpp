@@ -13,7 +13,7 @@ namespace {
 std::chrono::milliseconds ms(int n) { return std::chrono::milliseconds(n); }
 
 /// "/data/run1/evt.bin" -> "/data/run1"; "/evt.bin" -> "/". The ticket
-/// scope for a copy: covers the file and the mkdir of its parent.
+/// scope for a copy: covers the file and the parent file.pull creates.
 std::string parent_of(const std::string& path) {
   std::size_t slash = path.rfind('/');
   if (slash == std::string::npos || slash == 0) return "/";
@@ -37,7 +37,10 @@ std::pair<std::string, std::int64_t> checksum_of(const rpc::Value& reply) {
 
 Replicator::Replicator(Router& router, LayoutTable& layouts,
                        ReplicatorOptions options)
-    : router_(router), layouts_(layouts), options_(options) {}
+    : router_(router),
+      layouts_(layouts),
+      options_(options),
+      jitter_state_(options.retry.seed) {}
 
 Replicator::~Replicator() { stop(); }
 
@@ -93,41 +96,13 @@ void Replicator::note_write(const std::string& path,
     return true;
   });
   // Give the redirected client a beat to actually write before polling.
-  enqueue(Task::Kind::Replicate, path, options_.retry_base_ms);
+  enqueue(Task::Kind::Replicate, path, options_.retry.base_ms);
 }
-
-struct Replicator::InflightMark {
-  Replicator& self;
-  std::pair<std::string, std::string> key;  // (path, target node id)
-
-  InflightMark(Replicator& replicator, const std::string& path,
-               const std::string& node_id)
-      : self(replicator), key(path, node_id) {
-    util::LockGuard lock(self.mutex_);
-    self.inflight_.insert(key);
-  }
-  ~InflightMark() {
-    util::LockGuard lock(self.mutex_);
-    auto it = self.inflight_.find(key);
-    if (it != self.inflight_.end()) self.inflight_.erase(it);
-  }
-  InflightMark(const InflightMark&) = delete;
-  InflightMark& operator=(const InflightMark&) = delete;
-};
 
 void Replicator::note_commit(const std::string& path,
                              const std::string& node_id,
                              const std::string& checksum, std::int64_t size,
                              const WriterIdentity& who) {
-  {
-    // Our own copy landing on (path, node): the chunked write/append
-    // notifications carry partial-content hashes, not a client
-    // overwrite. copy_replica verifies the finished copy end to end and
-    // run_replicate marks it healthy; adopting a chunk hash here would
-    // demote the healthy source instead.
-    util::LockGuard lock(mutex_);
-    if (inflight_.count({path, node_id}) > 0) return;
-  }
   layouts_.update(path, [&](FileLayout& layout) {
     if (layout.replicas.empty()) {
       // Direct ticketed write we never saw a redirect for: adopt it.
@@ -399,38 +374,21 @@ void Replicator::execute(Task task) {
     ++stats_.completed;
     return;
   }
-  if (++task.attempt >= options_.retry_max) {
+  if (++task.attempt >= options_.retry.max_attempts) {
     ++stats_.parked;
     CLARENS_LOG(Warn) << "replicator: parking " << task.path << " after "
                       << task.attempt << " attempts: " << error;
     return;
   }
   ++stats_.retried;
-  task.not_before = Clock::now() + ms(backoff_ms_locked(task.attempt));
+  task.not_before =
+      Clock::now() + ms(options_.retry.delay_ms(task.attempt, jitter_state_));
   // Re-insert through the same dedup as enqueue(): a fresh event for the
   // path may already be queued.
   for (Task& queued : queue_) {
     if (queued.kind == task.kind && queued.path == task.path) return;
   }
   queue_.push_back(std::move(task));
-}
-
-int Replicator::backoff_ms_locked(int attempt) {
-  std::int64_t delay = options_.retry_base_ms;
-  for (int i = 1; i < attempt && delay < options_.retry_max_ms; ++i) {
-    delay *= 2;
-  }
-  delay = std::min<std::int64_t>(delay, options_.retry_max_ms);
-  // xorshift64; +-25% jitter so a cluster event does not retry in phase.
-  rand_state_ ^= rand_state_ << 13;
-  rand_state_ ^= rand_state_ >> 7;
-  rand_state_ ^= rand_state_ << 17;
-  std::int64_t half_band = delay / 4;
-  if (half_band > 0) {
-    delay += static_cast<std::int64_t>(rand_state_ % (2 * half_band + 1)) -
-             half_band;
-  }
-  return static_cast<int>(std::max<std::int64_t>(1, delay));
 }
 
 void Replicator::expire_suspects_locked(Clock::time_point now) {
@@ -524,7 +482,7 @@ rpc::Value Replicator::call_node(const NodeInfo& node,
   std::string ticket =
       router_.mint_ticket(layout.dn, layout.via_proxy, layout.proxy_serial,
                           parent_of(layout.path), write);
-  return router_.call_on(node, method, params, ticket, /*replication=*/true);
+  return router_.call_on(node, method, params, ticket);
 }
 
 bool Replicator::adopt_checksum(const std::string& path, FileLayout& layout,
@@ -700,54 +658,17 @@ bool Replicator::run_replicate(const std::string& path, int* copies_out,
 
 bool Replicator::copy_replica(const FileLayout& layout, const NodeInfo& source,
                               const NodeInfo& target, std::string* error_out) {
-  const std::string& path = layout.path;
-  InflightMark inflight(*this, path, target.id);
+  // The target fetches the bytes from the source itself under a read
+  // ticket for the same writer, and lands them only if they hash to the
+  // layout truth.
   try {
-    std::string parent = parent_of(path);
-    if (parent != "/") {
-      try {
-        call_node(target, "file.mkdir", {rpc::Value(parent)}, layout,
-                  /*write=*/true);
-      } catch (const rpc::Fault&) {
-        // Parent already exists (or is the virtual root): fine.
-      }
-    }
-    std::int64_t offset = 0;
-    bool first = true;
-    for (;;) {
-      std::int64_t want = options_.copy_chunk;
-      if (layout.size >= 0) {
-        want = std::min(want, std::max<std::int64_t>(0, layout.size - offset));
-      }
-      rpc::Value chunk =
-          want > 0
-              ? call_node(source, "file.read",
-                          {rpc::Value(path), rpc::Value(offset),
-                           rpc::Value(want)},
-                          layout, /*write=*/false)
-              : rpc::Value(std::vector<std::uint8_t>{});
-      const std::vector<std::uint8_t>& bytes = chunk.as_binary();
-      if (first) {
-        call_node(target, "file.write", {rpc::Value(path), rpc::Value(bytes)},
-                  layout, /*write=*/true);
-        first = false;
-      } else if (!bytes.empty()) {
-        call_node(target, "file.append", {rpc::Value(path), rpc::Value(bytes)},
-                  layout, /*write=*/true);
-      }
-      offset += static_cast<std::int64_t>(bytes.size());
-      if (static_cast<std::int64_t>(bytes.size()) < want || want == 0) break;
-    }
-    // The copy only counts once the target hashes to the layout truth.
-    auto [sum, size] = checksum_of(call_node(
-        target, "file.checksum", {rpc::Value(path)}, layout, false));
-    if (sum != layout.checksum) {
-      if (error_out) {
-        *error_out = "checksum mismatch after copy to " + target.id;
-      }
-      return false;
-    }
-    (void)size;
+    std::string source_ticket =
+        router_.mint_ticket(layout.dn, layout.via_proxy, layout.proxy_serial,
+                            parent_of(layout.path), /*write=*/false);
+    call_node(target, "file.pull",
+              {rpc::Value(source.url), rpc::Value(source_ticket),
+               rpc::Value(layout.path), rpc::Value(layout.checksum)},
+              layout, /*write=*/true);
     return true;
   } catch (const std::exception& e) {
     if (error_out) {

@@ -10,11 +10,12 @@
 //   * note_write/note_commit/note_remove feed it layout events from the
 //     head's method bindings; each enqueues work on an internal queue.
 //   * A single worker thread drains the queue through the Router's
-//     keep-alive peer pools: copy chunks from a healthy replica
-//     (file.read), land them on the target (file.write + file.append),
-//     then verify with file.checksum before marking the replica healthy.
-//     Failures retry with capped exponential backoff + jitter; after
-//     retry_max attempts the task is parked (the periodic
+//     keep-alive peer pools. A copy is one file.pull on the target node,
+//     which fetches the bytes from a healthy replica itself and verifies
+//     the layout checksum before the replica is marked healthy; no file
+//     byte passes through the head. Failures retry on the
+//     client::RetryPolicy schedule (capped exponential backoff + jitter);
+//     after retry.max_attempts the task is parked (the periodic
 //     under-replication sweep and the fsck scrub pick it up again).
 //   * A membership tick watches Router::storage_nodes(): a node gone for
 //     longer than the grace period has its replicas marked missing and
@@ -51,6 +52,7 @@
 #include <utility>
 #include <vector>
 
+#include "client/routed.hpp"
 #include "federation/layout.hpp"
 #include "federation/router.hpp"
 #include "rpc/value.hpp"
@@ -61,12 +63,10 @@ namespace clarens::federation {
 struct ReplicatorOptions {
   /// Default replica_count stamped on new layouts (placement_replicas).
   int replicas = 1;
-  /// Attempts per queued task before it is parked.
-  int retry_max = 8;
-  /// First retry delay; doubles per attempt up to retry_max_ms, with
-  /// +-25% jitter so a cluster-wide event does not retry in lockstep.
-  int retry_base_ms = 100;
-  int retry_max_ms = 5000;
+  /// Retry schedule of queued work: max_attempts per task before it is
+  /// parked; the first delay doubles up to max_ms, with +-25% jitter so a
+  /// cluster-wide event does not retry in lockstep.
+  client::RetryPolicy retry;
   /// How long a node must be absent from the ring before its replicas
   /// are declared missing and re-replication starts.
   int node_grace_ms = 5000;
@@ -79,9 +79,6 @@ struct ReplicatorOptions {
   int rescan_ms = 5000;
   /// Periodic fsck scrub cadence; 0 = scrub only on demand.
   int fsck_interval_ms = 0;
-  /// Bytes per file.read/file.append hop during a replica copy. Must not
-  /// exceed the storage nodes' max_read_chunk.
-  std::int64_t copy_chunk = 1 << 20;
 };
 
 /// Identity a layout event was performed under (from the RPC context).
@@ -176,15 +173,6 @@ class Replicator {
  private:
   using Clock = std::chrono::steady_clock;
 
-  /// RAII tag for a replica copy in flight toward (path, node): the
-  /// storage node notifies the head on every ticketed file.write/append,
-  /// so the copy's own chunks arrive as commit notifications carrying
-  /// partial-content hashes. note_commit drops notifications for tagged
-  /// pairs — otherwise each chunk would read as a client overwrite,
-  /// demote the healthy source to stale, and two replicas would re-copy
-  /// each other forever.
-  struct InflightMark;
-
   struct Task {
     enum class Kind { Replicate, Purge } kind = Kind::Replicate;
     std::string path;
@@ -217,7 +205,6 @@ class Replicator {
                        std::vector<rpc::Value> params, const FileLayout& layout,
                        bool write);
 
-  int backoff_ms_locked(int attempt) CLARENS_REQUIRES(mutex_);
   void expire_suspects_locked(Clock::time_point now) CLARENS_REQUIRES(mutex_);
 
   Router& router_;
@@ -235,10 +222,8 @@ class Replicator {
   std::map<std::string, Clock::time_point> suspects_ CLARENS_GUARDED_BY(
       mutex_);
   std::set<std::string> draining_ CLARENS_GUARDED_BY(mutex_);
-  std::multiset<std::pair<std::string, std::string>> inflight_
-      CLARENS_GUARDED_BY(mutex_);
   bool seeded_membership_ CLARENS_GUARDED_BY(mutex_) = false;
-  std::uint64_t rand_state_ CLARENS_GUARDED_BY(mutex_) = 0x9e3779b97f4a7c15ull;
+  std::uint64_t jitter_state_ CLARENS_GUARDED_BY(mutex_);
   ReplicatorStats stats_ CLARENS_GUARDED_BY(mutex_);
 
   util::Thread worker_;

@@ -114,12 +114,9 @@ std::string Router::mint_ticket(const std::string& dn, bool via_proxy,
 
 rpc::Value Router::call_on(const NodeInfo& node, const std::string& method,
                            const std::vector<rpc::Value>& params,
-                           const std::string& ticket, bool replication) {
+                           const std::string& ticket) {
   client::PeerPool::Lease lease = pool_.lease(node.url);
   lease->set_header("X-Clarens-Node-Ticket", ticket);
-  // Pooled connections keep their headers across leases, so the
-  // replication mark must be set (or erased: empty value) on every call.
-  lease->set_header("X-Clarens-Replication", replication ? "1" : "");
   try {
     return lease->call(method, params);
   } catch (const SystemError&) {

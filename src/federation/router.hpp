@@ -82,12 +82,9 @@ class Router {
   /// `ticket`. Throws what the remote call throws (rpc::Fault,
   /// SystemError);
   /// a transport failure retires the pooled connection.
-  /// `replication` marks the call as repair-engine traffic
-  /// (X-Clarens-Replication): the target skips its commit notification,
-  /// which would otherwise call back into the head synchronously.
   rpc::Value call_on(const NodeInfo& node, const std::string& method,
                      const std::vector<rpc::Value>& params,
-                     const std::string& ticket, bool replication = false);
+                     const std::string& ticket);
 
   /// Issue the same call on every node concurrently (plaintext targets
   /// go through one epoll loop; TLS targets fall back to sequential

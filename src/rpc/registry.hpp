@@ -55,13 +55,6 @@ struct CallContext {
   bool via_ticket = false;
   std::string ticket_scope;
   bool ticket_write = false;
-  /// True when a ticketed call was issued by a head's repair engine
-  /// (X-Clarens-Replication header). Replica copies must not fire the
-  /// commit-notification hook: the head already holds the layout truth,
-  /// and with single-worker servers a synchronous notify-back would
-  /// deadlock the head<->storage pair. Advisory only — a writer spoofing
-  /// the header merely skips commit tracking, which fsck reconciles.
-  bool replication = false;
 
   /// A resolved on-disk byte range a handler may hand back instead of a
   /// materialized result, letting the transport stream it zero-copy

@@ -217,14 +217,12 @@ TEST(ConfigLoader, ReplicationKnobs) {
       "replication_retry_max 4\n"
       "replication_retry_base_ms 50\n"
       "replication_retry_max_ms 2000\n"
-      "replication_chunk 65536\n"
       "fsck_interval_ms 30000\n"
       "replica_suspect_ttl_ms 1000\n"));
   EXPECT_EQ(head.replication_grace_ms, 1500);
   EXPECT_EQ(head.replication_retry_max, 4);
   EXPECT_EQ(head.replication_retry_base_ms, 50);
   EXPECT_EQ(head.replication_retry_max_ms, 2000);
-  EXPECT_EQ(head.replication_chunk, 65536);
   EXPECT_EQ(head.fsck_interval_ms, 30000);
   EXPECT_EQ(head.replica_suspect_ttl_ms, 1000);
 
@@ -232,6 +230,16 @@ TEST(ConfigLoader, ReplicationKnobs) {
   EXPECT_EQ(defaults.replication_grace_ms, 5000);
   EXPECT_EQ(defaults.replication_retry_max, 8);
   EXPECT_EQ(defaults.fsck_interval_ms, 0);  // scrub on demand only
+}
+
+// A read cap below the 1 MiB copy chunk is a valid config: copies clamp
+// their chunk to it rather than refusing to load.
+TEST(ConfigLoader, SmallMaxReadChunkLoads) {
+  ClarensConfig config = config_from(util::Config::parse(
+      "host 127.0.0.1\n"
+      "port 0\n"
+      "max_read_chunk 65536\n"));
+  EXPECT_EQ(config.max_read_chunk, 65536);
 }
 
 TEST(ConfigLoader, ReplicationKnobValidation) {
@@ -251,13 +259,6 @@ TEST(ConfigLoader, ReplicationKnobValidation) {
   EXPECT_THROW(config_from(util::Config::parse(
                    "replication_retry_base_ms 500\n"
                    "replication_retry_max_ms 100\n")),
-               ParseError);
-  EXPECT_THROW(config_from(util::Config::parse("replication_chunk 4095\n")),
-               ParseError);
-  // The copy chunk rides over file.read/file.append, so it is bounded
-  // by what a storage node will serve in one call.
-  EXPECT_THROW(config_from(util::Config::parse("max_read_chunk 65536\n"
-                                               "replication_chunk 65537\n")),
                ParseError);
   EXPECT_THROW(config_from(util::Config::parse("fsck_interval_ms -1\n")),
                ParseError);

@@ -132,6 +132,43 @@ TEST(Transfer, DelegatedPullBetweenServers) {
   EXPECT_EQ(bob->call("transfer.list").as_array().size(), 1u);
 }
 
+// The copy loop stops at the first short chunk: an empty file is one
+// empty read, and a file of exactly one chunk ends on a second, empty one.
+TEST(Transfer, EmptyAndExactlyOneChunkFilesArriveWhole) {
+  TwoSites sites;
+  {
+    std::ofstream empty(sites.source_data + "/empty.dat", std::ios::binary);
+    std::ofstream chunk(sites.source_data + "/chunk.dat", std::ios::binary);
+    for (std::int64_t i = 0; i < FileService::kPullChunk; ++i) {
+      chunk.put(static_cast<char>(i * 7 + 3));
+    }
+  }
+  sites.store_proxy("tr4nsfer");
+  auto bob = sites.connect_bob(*sites.dest);
+  pki::DistinguishedName who = pki::DistinguishedName::parse(sites.bob_dn);
+  auto read_all = [](const std::string& file) {
+    std::ifstream in(file, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  };
+
+  for (const std::string name : {"empty.dat", "chunk.dat"}) {
+    std::string id =
+        bob->call("transfer.start",
+                  {rpc::Value("http://127.0.0.1:" +
+                              std::to_string(sites.source->port())),
+                   rpc::Value("/data/" + name), rpc::Value("/replica/" + name),
+                   rpc::Value("tr4nsfer")})
+            .as_string();
+    Transfer done = sites.dest->transfers().wait(id, who);
+    EXPECT_EQ(done.state, TransferState::Done) << name << ": " << done.error;
+    EXPECT_TRUE(done.verified) << name;
+    std::string sent = read_all(sites.source_data + "/" + name);
+    EXPECT_EQ(done.bytes, static_cast<std::int64_t>(sent.size())) << name;
+    EXPECT_EQ(read_all(sites.dest_data + "/" + name), sent) << name;
+  }
+}
+
 TEST(Transfer, SourceAclEnforcedAgainstDelegatedIdentity) {
   TwoSites sites(/*restrict_source_read=*/true);
   sites.store_proxy("pw");

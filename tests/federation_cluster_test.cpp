@@ -25,6 +25,7 @@
 #include "client/peer_pool.hpp"
 #include "client/routed.hpp"
 #include "core/server.hpp"
+#include "crypto/md5.hpp"
 #include "db/store.hpp"
 #include "discovery/discovery_server.hpp"
 #include "discovery/station.hpp"
@@ -347,7 +348,6 @@ TEST(FederationCluster, SelfHealingReplicationSurvivesNodeDeathAndBitRot) {
   head_config.placement_replicas = 2;
   head_config.replication_grace_ms = 500;
   head_config.replica_suspect_ttl_ms = 2000;
-  head_config.replication_chunk = 64 * 1024;  // force multi-chunk copies
   core::ClarensServer head(std::move(head_config));
   head.attach_discovery(discovery);
   head.start();
@@ -377,13 +377,15 @@ TEST(FederationCluster, SelfHealingReplicationSurvivesNodeDeathAndBitRot) {
   client.authenticate();
 
   // A workload across many placement prefixes, including one file large
-  // enough that its replica copy needs several read/append hops.
+  // enough that its replica pull needs several 1 MiB chunks, the last one
+  // partial.
   std::map<std::string, std::string> written;
   for (int i = 0; i < 10; ++i) {
     std::string run = "/data/rep" + std::to_string(i);
     std::string path = run + "/evt.bin";
     std::string payload =
-        i == 0 ? std::string(150 * 1024, static_cast<char>('a' + i))
+        i == 0 ? std::string(2 * 1024 * 1024 + 150 * 1024,
+                             static_cast<char>('a' + i))
                : "payload-" + std::to_string(i) + "-" + std::string(64, 'y');
     client.call("file.mkdir", {rpc::Value(run)});
     ASSERT_TRUE(
@@ -487,7 +489,7 @@ TEST(FederationCluster, SelfHealingReplicationSurvivesNodeDeathAndBitRot) {
       try {
         rpc::Value bytes = client.call(
             "file.read", {rpc::Value(path), rpc::Value(std::int64_t{0}),
-                          rpc::Value(std::int64_t{1 << 20})});
+                          rpc::Value(std::int64_t{4 << 20})});
         EXPECT_EQ(as_string(bytes), payload) << path;
       } catch (const std::exception& e) {
         ADD_FAILURE() << "read failed while " << victim_id
@@ -545,7 +547,7 @@ TEST(FederationCluster, SelfHealingReplicationSurvivesNodeDeathAndBitRot) {
   }
   EXPECT_EQ(as_string(client.call(
                 "file.read", {rpc::Value(rot_path), rpc::Value(std::int64_t{0}),
-                              rpc::Value(std::int64_t{1 << 20})})),
+                              rpc::Value(std::int64_t{4 << 20})})),
             written.at(rot_path));
 
   for (auto& storage : storages) {
@@ -626,6 +628,126 @@ TEST(FederationCluster, StorageEnforcesTicketScopeAndVerb) {
                rpc::Fault);
 
   storage.stop();
+}
+
+// file.pull, the replica copy primitive: the target node fetches a file
+// from a source storage node itself. It needs a write ticket covering the
+// path, forwards only a read ticket for the same caller and path (checked
+// before any connection to the source), and lands the bytes only when
+// they hash to the expected md5.
+TEST(FederationCluster, StoragePullsReplicaUnderScopedTickets) {
+  const TestPki& pki = TestPki::instance();
+  TempDir tmp;
+  discovery::StationServer station;
+  std::string source_dir = tmp.sub("src");
+  std::string target_dir = tmp.sub("dst");
+  core::ClarensServer source(
+      node_config(pki, "src", core::NodeRole::Storage, source_dir,
+                  "http://127.0.0.1:1/clarens", station.port()));
+  core::ClarensServer target(
+      node_config(pki, "dst", core::NodeRole::Storage, target_dir,
+                  "http://127.0.0.1:1/clarens", station.port()));
+  source.start();
+  target.start();
+
+  // Two full 1 MiB chunks and a partial third.
+  std::string payload(2 * 1024 * 1024 + 12345, '\0');
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<char>((i * 131 + i / 7) & 0xff);
+  }
+  std::filesystem::create_directories(source_dir + "/run1");
+  {
+    std::ofstream out(source_dir + "/run1/big.bin", std::ios::binary);
+    out << payload;
+  }
+  const std::string md5 = crypto::Md5::hex(payload);
+  const std::string alice = "/O=testgrid.org/OU=People/CN=Alice Able";
+
+  auto ticket_for = [&](const std::string& scope, bool write,
+                        const std::string& dn) {
+    federation::NodeTicket ticket;
+    ticket.dn = dn;
+    ticket.scope = scope;
+    ticket.write = write;
+    ticket.expires = util::unix_now() + 60;
+    return ticket.mint(kSecret);
+  };
+  const std::string read_ticket = ticket_for("/data/run1", false, alice);
+  auto pull = [&](const std::string& source_ticket, const std::string& path,
+                  const std::string& expected) {
+    return std::vector<rpc::Value>{rpc::Value(source.url()),
+                                   rpc::Value(source_ticket), rpc::Value(path),
+                                   rpc::Value(expected)};
+  };
+
+  client::ClientOptions options;
+  options.port = target.port();
+  client::ClarensClient client(options);
+  client.connect();
+
+  // A session is not enough; the caller's ticket must be a write ticket
+  // covering the path.
+  client.set_session(target.direct_login(alice).id);
+  EXPECT_THROW(client.call("file.pull",
+                           pull(read_ticket, "/data/run1/big.bin", md5)),
+               rpc::Fault);
+  client.set_session("");
+  client.set_header("X-Clarens-Node-Ticket",
+                    ticket_for("/data/run1", false, alice));
+  EXPECT_THROW(client.call("file.pull",
+                           pull(read_ticket, "/data/run1/big.bin", md5)),
+               rpc::Fault);
+  client.set_header("X-Clarens-Node-Ticket",
+                    ticket_for("/data/run2", true, alice));
+  EXPECT_THROW(client.call("file.pull",
+                           pull(read_ticket, "/data/run1/big.bin", md5)),
+               rpc::Fault);
+
+  // The source ticket: a forgery, a write-capable ticket, one for another
+  // subtree or another identity never reaches the source.
+  client.set_header("X-Clarens-Node-Ticket",
+                    ticket_for("/data/run1", true, alice));
+  federation::NodeTicket forged;
+  forged.dn = alice;
+  forged.scope = "/data/run1";
+  forged.expires = util::unix_now() + 60;
+  std::uint64_t served = source.requests_served();
+  for (const std::string& bad :
+       {forged.mint("some-other-cluster-secret"), std::string("not-a-ticket"),
+        ticket_for("/data/run1", true, alice),
+        ticket_for("/data/run2", false, alice),
+        ticket_for("/data/run1", false,
+                   "/O=testgrid.org/OU=People/CN=Bob Baker")}) {
+    EXPECT_THROW(
+        client.call("file.pull", pull(bad, "/data/run1/big.bin", md5)),
+        rpc::Fault)
+        << bad;
+  }
+  EXPECT_EQ(source.requests_served(), served);
+  EXPECT_FALSE(std::filesystem::exists(target_dir + "/run1/big.bin"));
+
+  // A wrong md5 fails the pull.
+  EXPECT_THROW(client.call("file.pull",
+                           pull(read_ticket, "/data/run1/big.bin",
+                                std::string(32, '0'))),
+               rpc::Fault);
+
+  // The real thing lands byte-identical, parent directory created.
+  EXPECT_EQ(client.call("file.pull",
+                        pull(read_ticket, "/data/run1/big.bin", md5))
+                .as_int(),
+            static_cast<std::int64_t>(payload.size()));
+  EXPECT_EQ(disk_bytes(target_dir + "/run1/big.bin"), payload);
+
+  // Only storage nodes copy replicas.
+  core::ClarensServer standalone(
+      node_config(pki, "solo", core::NodeRole::Standalone, tmp.sub("solo"),
+                  "", station.port()));
+  EXPECT_EQ(standalone.registry().find("file.pull"), nullptr);
+  EXPECT_NE(target.registry().find("file.pull"), nullptr);
+
+  target.stop();
+  source.stop();
 }
 
 }  // namespace
